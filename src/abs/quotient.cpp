@@ -352,13 +352,10 @@ class Builder {
     // value; the deviation count "members away from d0" is what thresholds
     // are measured against.
     for (Ctx& ctx : ctxs_) {
-      std::vector<std::set<std::size_t>> allowed(ctx.size());
       std::vector<char> constrained(ctx.size(), 0);
-      bool first = true;
       std::set<std::size_t> all;
       for (std::size_t d = 0; d < ctx.domain.size(); ++d) all.insert(d);
       std::vector<std::set<std::size_t>> per_member(ctx.size(), all);
-      (void)first;
       for (Expr c : ts_.init_constraints()) {
         const NodeInfo& ni = info(c);
         if (ni.other_cur || ni.overflow || ni.members.size() != 1) continue;
@@ -392,7 +389,6 @@ class Builder {
         }
       }
       if (uniform) ctx.init_index = d0;
-      (void)allowed;
     }
   }
 
@@ -473,6 +469,54 @@ class Builder {
     return false;
   }
 
+  /// The largest B in [0, N] with
+  ///   unsat( atmost(B, m_i != d0)  /\  not AND(candidates) )
+  /// i.e. "any B-or-fewer deviations from the initial value keep every
+  /// strengthened subformula true" (for reachability: B below the min cut).
+  /// Validity is downward closed in B, so the probe doubles from 0 until the
+  /// first sat, then bisects between the last unsat bound and the sat
+  /// model's deviation count d (that model refutes every B >= d). A probe
+  /// whose budget is already gone or that answers unknown ends the search
+  /// with the last proven bound; nullopt when none was proven.
+  std::optional<std::int64_t> largest_threshold(const Ctx& ctx, const std::vector<Expr>& cands) {
+    const Expr d0c = ctx.domain_consts[*ctx.init_index];
+    const expr::Value& d0 = ctx.domain[*ctx.init_index];
+    std::vector<Expr> deviates;
+    for (Expr m : ctx.orbit.members) deviates.push_back(expr::mk_not(expr::mk_eq(m, d0c)));
+
+    smt::Solver solver;
+    for (Expr m : ctx.orbit.members) {
+      const Expr range = ts::range_constraint(m);
+      if (!range.is_true()) solver.add(range, 0);
+    }
+    solver.add(expr::mk_not(expr::all_of(cands)), 0);
+    const auto n = static_cast<std::int64_t>(ctx.size());
+    std::optional<std::int64_t> proven;
+    std::int64_t refuted = n + 1;  // smallest bound known to admit a violation
+    std::int64_t b = 0;
+    while (true) {
+      const util::Deadline probe_deadline =
+          options_.deadline.clipped_to(options_.strengthen_query_seconds);
+      if (probe_deadline.expired_or_cancelled()) break;
+      obs::count("abs.threshold_probes");
+      solver.push();
+      solver.add(solver.at_most(deviates, 0, static_cast<unsigned>(b)));
+      const smt::CheckResult res = solver.check(probe_deadline);
+      if (res == smt::CheckResult::kSat) {
+        std::int64_t d = 0;
+        for (Expr m : ctx.orbit.members) d += solver.value_of(m, 0) != d0 ? 1 : 0;
+        refuted = d;
+      }
+      solver.pop();
+      if (res == smt::CheckResult::kUnknown) break;
+      if (res == smt::CheckResult::kUnsat) proven = b;
+      const std::int64_t lo = proven.value_or(-1);
+      if (lo + 1 >= refuted) break;
+      b = refuted > n ? std::min(n, b == 0 ? 1 : 2 * b) : lo + (refuted - lo) / 2;
+    }
+    return proven;
+  }
+
   void strengthen_atoms() {
     // Per orbit: subformulas to strengthen (positive polarity) across all
     // atoms, plus per-atom replacement maps.
@@ -509,10 +553,6 @@ class Builder {
       collect(atoms_[a]);
     }
 
-    // Validate one threshold per orbit: the largest probed B with
-    //   unsat( deviation <= B  /\  not AND(candidates) )
-    // i.e. "any B-or-fewer deviations from the initial value keep every
-    // strengthened subformula true" (for reachability: B below the min cut).
     for (std::size_t o = 0; o < ctxs_.size(); ++o) {
       Ctx& ctx = ctxs_[o];
       if (pos_cands[o].empty()) continue;
@@ -521,30 +561,7 @@ class Builder {
       pos_cands[o].erase(std::unique(pos_cands[o].begin(), pos_cands[o].end(),
                                      [](Expr x, Expr y) { return x.is(y); }),
                          pos_cands[o].end());
-      const Expr d0c = ctx.domain_consts[*ctx.init_index];
-      std::vector<Expr> dev_terms;
-      for (Expr m : ctx.orbit.members)
-        dev_terms.push_back(expr::bool_to_int(expr::mk_not(expr::mk_eq(m, d0c))));
-      const Expr deviation = expr::mk_add(dev_terms);
-
-      smt::Solver solver;
-      for (Expr m : ctx.orbit.members) {
-        const Expr range = ts::range_constraint(m);
-        if (!range.is_true()) solver.add(range, 0);
-      }
-      solver.add(expr::mk_not(expr::all_of(pos_cands[o])), 0);
-      std::optional<std::int64_t> best;
-      const auto n = static_cast<std::int64_t>(ctx.size());
-      for (std::int64_t b = 0; b <= n; b = b == 0 ? 1 : b * 2) {
-        if (expired()) break;
-        solver.push();
-        solver.add(expr::mk_le(deviation, expr::int_const(b)), 0);
-        const smt::CheckResult res =
-            solver.check(options_.deadline.clipped_to(options_.strengthen_query_seconds));
-        solver.pop();
-        if (res != smt::CheckResult::kUnsat) break;
-        best = b;
-      }
+      const std::optional<std::int64_t> best = largest_threshold(ctx, pos_cands[o]);
       if (!best) {
         // No safe threshold: leave the subformulas raw; the residual check
         // will block this orbit if an atom still mentions its members.
@@ -900,7 +917,6 @@ std::optional<Abstraction> abstract_system(const ts::TransitionSystem& ts,
     Builder builder(ts, atoms, options, active);
     if (builder.run()) {
       Abstraction out = builder.assemble();
-      for (const ltl::Formula& f : out.properties) (void)f;
       obs::count("abs.orbits_found", out.orbits.size());
       obs::count("abs.vars_collapsed", out.vars_collapsed);
       return out;

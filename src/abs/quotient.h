@@ -23,12 +23,16 @@
 //   - count shapes rewrite exactly, as above;
 //   - a monotone member-only subformula (a reach_i) at positive polarity is
 //     *strengthened* to a deviation threshold "at most B members deviate
-//     from their initial value", validated by one combinational solver query
-//     per candidate bound (unsat: deviation <= B and the subformula false);
-//     at negative polarity it weakens to `true`. Both directions make the
-//     rewritten atom imply the original, so kHolds still transfers; abstract
-//     violations may now be spurious, which is exactly what the CEGAR loop
-//     in core::check concretizes and refines.
+//     from their initial value". B is validated with a native cardinality
+//     constraint (unsat: atmost(B; m_i != d0) and the subformula false) and
+//     searched exactly: doubling to the first sat, then bisecting below the
+//     sat model's deviation count, so B is the largest valid bound (for
+//     reachability: the min cut minus one). An unknown probe ends the
+//     search at the last proven bound; with none, there is no guard. At
+//     negative polarity the subformula weakens to `true`. Both directions
+//     make the rewritten atom imply the original, so kHolds still transfers;
+//     abstract violations may now be spurious, which is exactly what the
+//     CEGAR loop in core::check concretizes and refines.
 //
 // An orbit the rewrite cannot handle (a raw member survives anywhere) is
 // blocked and the pass reruns without it — unsound quotients are never
@@ -76,7 +80,8 @@ struct AbstractionOptions {
   /// Monotone threshold strengthening of property subformulas; turning it
   /// off restricts the rewrite to exact count shapes.
   bool strengthen = true;
-  /// Budget per threshold-validation solver query.
+  /// Budget per threshold-validation solver query; a probe with no budget
+  /// left is not run (abs.threshold_probes counts the ones that are).
   double strengthen_query_seconds = 5.0;
   util::Deadline deadline = util::Deadline::never();
 };

@@ -197,6 +197,12 @@ void Solver::add(const z3::expr& e) {
   ++num_assertions_;
 }
 
+z3::expr Solver::at_most(std::span<const Expr> lits, int frame, unsigned bound) {
+  z3::expr_vector vec(ctx_);
+  for (Expr l : lits) vec.push_back(translate(l, frame));
+  return z3::atmost(vec, bound);
+}
+
 void Solver::push() { solver_.push(); }
 void Solver::pop() { solver_.pop(); }
 

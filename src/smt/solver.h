@@ -50,6 +50,12 @@ class Solver {
   void add(expr::Expr e, int frame);
   void add(const z3::expr& e);
 
+  /// Native pseudo-Boolean cardinality constraint "at most `bound` of `lits`
+  /// hold", each literal translated at `frame`. Not asserted: callers scope
+  /// it with push()/add()/pop(). Z3 decides it in its cardinality solver,
+  /// not as a linear sum of ite terms in the arithmetic core.
+  z3::expr at_most(std::span<const expr::Expr> lits, int frame, unsigned bound);
+
   void push();
   void pop();
 

@@ -171,6 +171,67 @@ TEST(Quotient, AbstractHoldsIsTopologySizeIndependent) {
       << "verdict must come from the abstraction path, got: " << outcome.message;
 }
 
+// The link orbit's threshold guard "at most B links down" is validated
+// exactly: B is the largest bound under which every service node stays
+// reachable, i.e. the front end's min cut minus one — not the largest power
+// of two below it (fattree8's cut is 4, so B must be 3, not 2).
+TEST(Quotient, ThresholdIsMinCutMinusOne) {
+  struct Case {
+    int fat_tree_k;  // 0 = the 5-node test topology
+    std::int64_t min_cut;
+  };
+  for (const Case& c : {Case{0, 2}, Case{4, 2}, Case{6, 3}, Case{8, 4}}) {
+    const auto scenario = c.fat_tree_k == 0 ? scenarios::make_test_scenario()
+                                            : scenarios::make_fat_tree_scenario(c.fat_tree_k);
+    const auto system =
+        pinned(scenario.system, {{scenario.p, 1}, {scenario.k, 1}, {scenario.m, 1}});
+    const auto abstraction = abs::abstract_system(system, scenario.property);
+    ASSERT_TRUE(abstraction.has_value()) << "fattree" << c.fat_tree_k;
+    const abs::OrbitAbstraction* links = nullptr;
+    for (const abs::OrbitAbstraction& o : abstraction->orbits)
+      if (o.orbit.members.front().var_name().find(".up_") != std::string::npos) links = &o;
+    ASSERT_NE(links, nullptr) << "fattree" << c.fat_tree_k;
+    EXPECT_EQ(links->threshold, c.min_cut - 1) << "fattree" << c.fat_tree_k;
+    EXPECT_TRUE(links->strengthened_guard.valid());
+  }
+}
+
+// Below the min cut the strengthened property is exact enough to hold on
+// the quotient: no spurious trace, no refinement, no concrete fallback.
+TEST(Quotient, Fattree8BelowCutHoldsOnQuotient) {
+  const auto scenario = scenarios::make_fat_tree_scenario(8);
+  const auto system =
+      pinned(scenario.system, {{scenario.p, 1}, {scenario.k, 3}, {scenario.m, 1}});
+  obs::reset_counters();
+  core::CheckOptions options;
+  options.deadline = util::Deadline::after_seconds(30);
+  const auto outcome = core::check(system, scenario.property, options);
+  EXPECT_EQ(outcome.verdict, core::Verdict::kHolds);
+  EXPECT_NE(outcome.message.find("quotient"), std::string::npos)
+      << "verdict must come from the abstraction path, got: " << outcome.message;
+  EXPECT_EQ(counter("abs.spurious_traces"), 0u);
+  EXPECT_EQ(counter("abs.fallback_concrete"), 0u);
+}
+
+// A probe whose budget is already spent is not run, so no bound is proven
+// and no guard is guessed: the fattree4 property still names raw links and
+// statuses, both orbits are blocked, and the caller checks concretely.
+TEST(Quotient, ExpiredStrengtheningBudgetYieldsNoGuard) {
+  const auto scenario = scenarios::make_fat_tree_scenario(4);
+  const auto system =
+      pinned(scenario.system, {{scenario.p, 1}, {scenario.k, 1}, {scenario.m, 1}});
+  abs::AbstractionOptions options;
+  options.strengthen_query_seconds = 0.0;
+  obs::reset_counters();
+  EXPECT_FALSE(abs::abstract_system(system, scenario.property, options).has_value());
+  EXPECT_EQ(counter("abs.threshold_probes"), 0u);
+
+  options.strengthen_query_seconds = 5.0;
+  const auto abstraction = abs::abstract_system(system, scenario.property, options);
+  ASSERT_TRUE(abstraction.has_value());
+  EXPECT_GT(counter("abs.threshold_probes"), 0u);
+}
+
 TEST(Quotient, ViolatingTraceReplaysOnConcreteSystem) {
   const auto scenario = scenarios::make_test_scenario();
   const auto system =

@@ -43,8 +43,11 @@ TEST(Topology, BfsDistancesAndLinkFilters) {
 
 // The paper's Fig. 6 node/link/service-node counts (fattree8's 265 links is a
 // paper typo; the construction yields 256 — see EXPERIMENTS.md).
+// gtest prints this parameter as raw bytes and the discovered test names are
+// built from that print, so the struct must have no padding: a 4-byte `k`
+// followed by 8-byte fields left 4 uninitialised bytes in every name.
 struct FatTreeCounts {
-  int k;
+  std::size_t k;
   std::size_t nodes;
   std::size_t links;
   std::size_t service_nodes;
@@ -54,7 +57,7 @@ class FatTreeCountTest : public ::testing::TestWithParam<FatTreeCounts> {};
 
 TEST_P(FatTreeCountTest, MatchesPaperTopologySizes) {
   const FatTreeCounts expected = GetParam();
-  const FatTree ft = make_fat_tree(expected.k);
+  const FatTree ft = make_fat_tree(static_cast<int>(expected.k));
   EXPECT_EQ(ft.topo.num_nodes(), expected.nodes);
   EXPECT_EQ(ft.topo.num_links(), expected.links);
   EXPECT_EQ(ft.edge.size() - 1, expected.service_nodes);  // one leaf = front-end

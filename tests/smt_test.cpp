@@ -82,6 +82,50 @@ TEST(Solver, PushPopRestoresState) {
   EXPECT_EQ(solver.check(), CheckResult::kSat);
 }
 
+// at_most is the threshold probe's cardinality constraint: with four flags
+// of which at least three must hold, "at most 3" is satisfiable and "at
+// most 2" is not; each probe is scoped by push/pop.
+TEST(Solver, AtMostBoundaryAndScoping) {
+  Solver solver;
+  std::vector<Expr> flags;
+  for (int i = 0; i < 4; ++i) flags.push_back(expr::bool_var("smt_am" + std::to_string(i)));
+  solver.add(expr::mk_le(expr::int_const(3), expr::mk_add({expr::bool_to_int(flags[0]),
+                                                           expr::bool_to_int(flags[1]),
+                                                           expr::bool_to_int(flags[2]),
+                                                           expr::bool_to_int(flags[3])})),
+             0);
+  solver.push();
+  solver.add(solver.at_most(flags, 0, 3));
+  ASSERT_EQ(solver.check(), CheckResult::kSat);
+  int held = 0;
+  for (Expr f : flags) held += std::get<bool>(solver.value_of(f, 0)) ? 1 : 0;
+  EXPECT_EQ(held, 3);
+  solver.pop();
+
+  solver.push();
+  solver.add(solver.at_most(flags, 0, 2));
+  EXPECT_EQ(solver.check(), CheckResult::kUnsat);
+  solver.pop();
+  // The unsat bound was popped with its scope.
+  EXPECT_EQ(solver.check(), CheckResult::kSat);
+}
+
+TEST(Solver, AtMostTranslatesAtRequestedFrame) {
+  Solver solver;
+  const Expr a = expr::bool_var("smt_amf_a");
+  const Expr b = expr::bool_var("smt_amf_b");
+  solver.add(a, 0);
+  solver.add(b, 0);
+  // Both hold at frame 0, but the bound constrains frame 1 only.
+  const std::vector<Expr> lits{a, b};
+  solver.add(solver.at_most(lits, 1, 0));
+  ASSERT_EQ(solver.check(), CheckResult::kSat);
+  EXPECT_FALSE(std::get<bool>(solver.value_of(a, 1)));
+  EXPECT_FALSE(std::get<bool>(solver.value_of(b, 1)));
+  solver.add(solver.at_most(lits, 0, 1));
+  EXPECT_EQ(solver.check(), CheckResult::kUnsat);
+}
+
 TEST(Solver, CheckAssumingAndUnsatCore) {
   Solver solver;
   const Expr x = expr::int_var("smt_core", 0, 10);

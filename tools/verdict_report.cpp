@@ -164,13 +164,13 @@ JsonValue validate_stats_document(const std::string& text) {
       require(known, "counters." + name + " is not a known svc.* counter");
     }
     // The abstraction counters are closed too (docs/abstraction.md): symmetry
-    // detection, quotient collapse, and the CEGAR loop's refinement /
-    // fallback outcomes.
+    // detection, quotient collapse, threshold validation, and the CEGAR
+    // loop's refinement / fallback outcomes.
     if (name.rfind("abs.", 0) == 0) {
       static const char* kAbsCounters[] = {
           "abs.orbits_found",      "abs.vars_collapsed",
           "abs.cegar_refinements", "abs.spurious_traces",
-          "abs.fallback_concrete",
+          "abs.fallback_concrete", "abs.threshold_probes",
       };
       bool known = false;
       for (const char* k : kAbsCounters) known = known || name == k;
