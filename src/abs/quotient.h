@@ -32,7 +32,7 @@
 //     negative polarity the subformula weakens to `true`. Both directions
 //     make the rewritten atom imply the original, so kHolds still transfers;
 //     abstract violations may now be spurious, which is exactly what the
-//     CEGAR loop in core::check concretizes and refines.
+//     CEGAR loop in core::check_quotient concretizes and refines.
 //
 // An orbit the rewrite cannot handle (a raw member survives anywhere) is
 // blocked and the pass reruns without it — unsound quotients are never

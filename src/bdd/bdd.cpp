@@ -249,7 +249,7 @@ Bdd Manager::exists(Bdd f, std::span<const std::uint32_t> vars) {
     if (x.is_terminal()) return x;
     const auto it = memo.find(x.id());
     if (it != memo.end()) return it->second;
-    const Node& n = nodes_[x.id()];
+    const Node n = nodes_[x.id()];  // a copy: the recursion may grow nodes_
     const Bdd low = go(Bdd(n.low));
     const Bdd high = go(Bdd(n.high));
     const Bdd result =
@@ -311,7 +311,7 @@ Bdd Manager::rename(Bdd f, std::span<const std::uint32_t> perm) {
     if (x.is_terminal()) return x;
     const auto it = memo.find(x.id());
     if (it != memo.end()) return it->second;
-    const Node& n = nodes_[x.id()];
+    const Node n = nodes_[x.id()];  // a copy: the recursion may grow nodes_
     const std::uint32_t target = n.var < perm.size() ? perm[n.var] : n.var;
     const Bdd result = make(target, go(Bdd(n.low)), go(Bdd(n.high)));
     memo.emplace(x.id(), result);

@@ -6,10 +6,9 @@
 #include <vector>
 
 #include "bdd/reach_index.h"
-#include "core/checker.h"
+#include "core/reduce.h"
 #include "expr/walk.h"
 #include "obs/trace.h"
-#include "opt/optimize.h"
 #include "util/log.h"
 
 namespace verdict::bdd {
@@ -46,22 +45,17 @@ ts::Trace trace_from_chain(const SymbolicSystem& system,
 CheckOutcome check_invariant_bdd(const ts::TransitionSystem& ts, Expr invariant,
                                  const BddOptions& options) {
   if (options.optimize) {
-    const opt::Optimized optimized = opt::optimize_invariant(ts, invariant, {});
     BddOptions inner = options;
     inner.optimize = false;
-    if (!optimized.changed()) return check_invariant_bdd(ts, invariant, inner);
-    CheckOutcome out =
-        check_invariant_bdd(optimized.system, opt::invariant_atom(optimized), inner);
-    if (out.verdict == Verdict::kViolated && out.counterexample &&
-        !core::lift_counterexample(optimized, *out.counterexample, options.deadline)) {
-      // Sliced-away component cannot execute alongside this trace; the
-      // violation may be spurious. Decide on the original system, carrying
-      // the discarded sliced attempt's stats along (mirrors core::check).
-      CheckOutcome full = check_invariant_bdd(ts, invariant, inner);
-      full.stats.merge(out.stats);
-      return full;
-    }
-    return out;
+    const ltl::Formula property = ltl::G(ltl::atom(invariant));
+    return std::move(
+        core::check_optimized(ts, {&property, 1}, {}, options.deadline,
+                              [&](const ts::TransitionSystem& system,
+                                  std::span<const ltl::Formula> properties) {
+                                return std::vector<CheckOutcome>{check_invariant_bdd(
+                                    system, ltl::invariant_atom(properties.front()), inner)};
+                              })
+            .front());
   }
   util::Stopwatch watch;
   CheckOutcome outcome;

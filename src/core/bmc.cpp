@@ -12,13 +12,6 @@ using expr::Expr;
 
 namespace {
 
-ts::Trace extract_trace(smt::Solver& solver, const ts::TransitionSystem& ts, int depth) {
-  ts::Trace trace;
-  trace.params = solver.state_at(ts.params(), 0);
-  for (int i = 0; i <= depth; ++i) trace.states.push_back(solver.state_at(ts.vars(), i));
-  return trace;
-}
-
 CheckOutcome run_incremental(const ts::TransitionSystem& ts, Expr invariant,
                              const BmcOptions& options) {
   CheckOutcome outcome;

@@ -2,13 +2,13 @@
 
 #include <sstream>
 
-#include "abs/quotient.h"
 #include "core/bmc.h"
 #include "core/explicit.h"
 #include "core/kinduction.h"
 #include "core/l2s.h"
 #include "core/liveness.h"
 #include "core/pdr.h"
+#include "core/reduce.h"
 #include "expr/eval.h"
 #include "ltl/parser.h"
 #include "ltl/trace_eval.h"
@@ -82,127 +82,25 @@ CheckOutcome check_safety(const ts::TransitionSystem& ts, expr::Expr invariant,
   return check_ltl_lasso(ts, ltl::G(ltl::atom(invariant)), o);
 }
 
-/// Splits the orbit behind a spurious abstract trace for the next round:
-/// prefer a threshold-strengthened orbit whose guard is false in the final
-/// abstract state (that guard is the only over-approximate piece of the
-/// property rewrite, so it is what admitted the trace), else the largest
-/// orbit. Halving is recorded as a forced_split hint; a half below the
-/// minimum orbit size simply goes concrete, so refinement always makes
-/// progress and the loop terminates.
-bool refine_split(const abs::Abstraction& abstraction, const CheckOutcome& abstract_out,
-                  const ts::TransitionSystem& quotient, abs::SymmetryOptions& sym) {
-  const abs::OrbitAbstraction* culprit = nullptr;
-  if (abstract_out.counterexample && !abstract_out.counterexample->states.empty()) {
-    const expr::Env env = quotient.env_of(abstract_out.counterexample->states.back(),
-                                          abstract_out.counterexample->params);
-    for (const abs::OrbitAbstraction& o : abstraction.orbits) {
-      if (o.threshold < 0) continue;
-      bool guard_false = false;
-      try {
-        guard_false = !expr::eval_bool(o.strengthened_guard, env);
-      } catch (const std::exception&) {
-        continue;  // guard mentions something the trace omits; skip
-      }
-      if (guard_false) {
-        culprit = &o;
-        break;
-      }
-    }
-  }
-  if (culprit == nullptr) {
-    for (const abs::OrbitAbstraction& o : abstraction.orbits)
-      if (culprit == nullptr || o.orbit.members.size() > culprit->orbit.members.size())
-        culprit = &o;
-  }
-  if (culprit == nullptr || culprit->orbit.members.size() < 2) return false;
-  const auto& members = culprit->orbit.members;
-  const std::size_t half = members.size() / 2;
-  sym.forced_split.emplace_back(members.begin(), members.begin() + half);
-  sym.forced_split.emplace_back(members.begin() + half, members.end());
-  return true;
-}
-
-/// The CEGAR driver: quotient check -> concretization -> refinement ->
-/// concrete fallback. Every return path decides on evidence about the
-/// concrete system (an abstract kHolds transfers by simulation; a kViolated
-/// only survives after a concrete BMC reproduces it).
-CheckOutcome check_with_abstraction(const ts::TransitionSystem& ts,
-                                    const ltl::Formula& property,
-                                    const CheckOptions& options) {
-  CheckOptions concrete = options;
-  concrete.abstract = false;
-  Stats accumulated;
-  abs::SymmetryOptions sym;
-  constexpr int kMaxRefinements = 2;
-  for (int round = 0; round <= kMaxRefinements; ++round) {
-    abs::AbstractionOptions ao;
-    ao.symmetry = sym;
-    ao.deadline = options.deadline;
-    const std::optional<abs::Abstraction> abstraction =
-        abs::abstract_system(ts, property, ao);
-    if (!abstraction) break;
-    CheckOptions inner = concrete;
-    // Counting quotients are induction-friendly (the per-orbit sum invariant
-    // makes the rewritten property typically 1-inductive) while PDR's cube
-    // generalization tends to enumerate counter values. Prefer k-induction
-    // for the quotient under kAuto; explicit engine requests are honored.
-    if (inner.engine == Engine::kAuto) inner.engine = Engine::kKInduction;
-    // Same split as kAuto's PDR/BMC budget: the quotient attempt must leave
-    // room for concretization and the concrete fallback.
-    inner.deadline =
-        options.deadline.is_finite()
-            ? options.deadline.clipped_to(options.deadline.remaining_seconds() / 2)
-            : options.deadline;
-    CheckOutcome out = check(abstraction->system, abstraction->property(), inner);
-    accumulated.merge(out.stats);
-    if (out.verdict == Verdict::kHolds) {
-      // Certificates name the counter variables, which do not exist in the
-      // concrete system — the verdict transfers, the artifact cannot.
-      out.artifact.reset();
-      out.stats = accumulated;
-      std::ostringstream msg;
-      msg << "holds on counting quotient (" << abstraction->vars_collapsed
-          << " vars collapsed across " << abstraction->orbits.size() << " orbit"
-          << (abstraction->orbits.size() == 1 ? "" : "s") << ")";
-      if (!out.message.empty()) msg << "; " << out.message;
-      out.message = msg.str();
-      return out;
-    }
-    if (out.verdict != Verdict::kViolated) break;  // inconclusive quotient
-    // Concretize: hunt for a concrete violation within the abstract trace's
-    // depth. BMC is complete at a fixed bound, so kBoundReached here is a
-    // definitive "no concrete counterpart" — the abstract trace is spurious.
-    BmcOptions b;
-    b.max_depth = out.counterexample
-                      ? static_cast<int>(out.counterexample->length())
-                      : options.max_depth;
-    b.deadline = options.deadline;
-    CheckOutcome conc = check_invariant_bmc(ts, ltl::invariant_atom(property), b);
-    accumulated.merge(conc.stats);
-    if (conc.verdict == Verdict::kViolated) {
-      conc.stats = accumulated;
-      return conc;
-    }
-    if (conc.verdict != Verdict::kBoundReached && conc.verdict != Verdict::kHolds)
-      break;  // budget ran out mid-concretization
-    obs::count("abs.spurious_traces");
-    if (round == kMaxRefinements) break;
-    if (!refine_split(*abstraction, out, abstraction->system, sym)) break;
-    obs::count("abs.cegar_refinements");
-  }
-  obs::count("abs.fallback_concrete");
-  CheckOutcome full = check(ts, property, concrete);
-  full.stats.merge(accumulated);
-  return full;
-}
-
 }  // namespace
 
 CheckOutcome check(const ts::TransitionSystem& ts, const ltl::Formula& property,
                    const CheckOptions& options) {
-  if (options.abstract && ltl::is_invariant_property(property) &&
-      options.engine != Engine::kLtlLasso)
-    return check_with_abstraction(ts, property, options);
+  const auto decide_one = [](const ts::TransitionSystem& system,
+                             std::span<const ltl::Formula> properties,
+                             const CheckOptions& o) {
+    return std::vector<CheckOutcome>{check(system, properties.front(), o)};
+  };
+  if (options.abstract) {
+    CheckOutcome reduced =
+        std::move(check_quotient(ts, {&property, 1}, options, decide_one).front());
+    if (decided(reduced)) return reduced;
+    CheckOptions concrete = options;
+    concrete.abstract = false;
+    CheckOutcome full = check(ts, property, concrete);
+    full.stats.merge(reduced.stats);
+    return full;
+  }
 
   if (options.optimize) {
     opt::OptimizeOptions oo;
@@ -211,29 +109,15 @@ CheckOutcome check(const ts::TransitionSystem& ts, const ltl::Formula& property,
     // apply everywhere (their lifting is exact, lassos included).
     oo.slice = ltl::is_invariant_property(property) &&
                options.engine != Engine::kLtlLasso;
-    const opt::Optimized optimized = opt::optimize(ts, property, oo);
     CheckOptions inner = options;
     inner.optimize = false;
-    if (!optimized.changed()) return check(ts, property, inner);
-    CheckOutcome out = check(optimized.system, optimized.properties.front(), inner);
-    if (out.artifact) {
-      // The certificate was computed on the reduced system; record the
-      // propagated constants it is relative to (docs/incremental.md).
-      for (const auto& [var, value] : optimized.propagated_vars)
-        out.artifact->pinned.set(var, value);
-      for (const auto& [param, value] : optimized.propagated_params)
-        out.artifact->pinned.set(param, value);
-    }
-    if (out.verdict == Verdict::kViolated && out.counterexample &&
-        !lift_counterexample(optimized, *out.counterexample, options.deadline)) {
-      // The sliced-away component cannot execute alongside this trace (or
-      // the reconstruction budget ran out): the violation may be spurious.
-      // Decide on the original system instead.
-      CheckOutcome full = check(ts, property, inner);
-      full.stats.merge(out.stats);
-      return full;
-    }
-    return out;
+    return std::move(
+        check_optimized(ts, {&property, 1}, oo, options.deadline,
+                        [&](const ts::TransitionSystem& system,
+                            std::span<const ltl::Formula> properties) {
+                          return decide_one(system, properties, inner);
+                        })
+            .front());
   }
 
   // Portfolio: explicit request, or kAuto with a parallelism budget.

@@ -10,11 +10,13 @@
 // or give_up() on every path — success, bound, timeout, and unknown alike.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/result.h"
+#include "expr/eval.h"
 #include "obs/trace.h"
 #include "smt/solver.h"
 #include "util/stopwatch.h"
@@ -89,5 +91,47 @@ class EngineRun {
   std::size_t solvers_ = 0;
   double solver_seconds_ = 0.0;
 };
+
+/// The trace of frames 0..depth in the solver's current model.
+inline ts::Trace extract_trace(smt::Solver& solver, const ts::TransitionSystem& ts,
+                               int depth) {
+  ts::Trace trace;
+  trace.params = solver.state_at(ts.params(), 0);
+  for (int i = 0; i <= depth; ++i) trace.states.push_back(solver.state_at(ts.vars(), i));
+  return trace;
+}
+
+/// "State i differs from state j" as a formula over frames i and j: the
+/// simple-path strengthening of k-induction.
+inline z3::expr states_distinct(smt::Solver& solver, const ts::TransitionSystem& ts,
+                                int i, int j) {
+  z3::expr_vector diffs(solver.context());
+  for (const expr::Expr v : ts.vars())
+    diffs.push_back(solver.translate(v, i) != solver.translate(v, j));
+  return z3::mk_or(diffs);
+}
+
+/// A copy of `ts` whose parameters are pinned to the given assignment.
+inline ts::TransitionSystem pinned_system(const ts::TransitionSystem& ts,
+                                          const ts::State& params) {
+  ts::TransitionSystem pinned = ts;
+  for (const expr::Expr p : ts.params()) {
+    const auto v = params.get(p);
+    if (!v) throw std::invalid_argument("pinned_system: missing parameter value");
+    pinned.add_param_constraint(expr::mk_eq(p, expr::constant_of(*v, p.type())));
+  }
+  return pinned;
+}
+
+/// Does a previously found counterexample stay feasible under `params`, with
+/// its final state still violating `invariant`?
+inline bool trace_feasible_under(const ts::TransitionSystem& ts, const ts::Trace& witness,
+                                 const ts::State& params, expr::Expr invariant) {
+  ts::Trace replay = witness;
+  replay.params = params;
+  std::string ignored;
+  if (!ts.trace_conforms(replay, &ignored)) return false;
+  return !expr::eval_bool(invariant, ts.env_of(replay.states.back(), params));
+}
 
 }  // namespace verdict::core

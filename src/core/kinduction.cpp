@@ -10,18 +10,6 @@ namespace verdict::core {
 
 using expr::Expr;
 
-namespace {
-
-// "State i differs from state j" as a formula over frames i and j.
-z3::expr states_distinct(smt::Solver& solver, const ts::TransitionSystem& ts, int i, int j) {
-  z3::expr_vector diffs(solver.context());
-  for (Expr v : ts.vars())
-    diffs.push_back(solver.translate(v, i) != solver.translate(v, j));
-  return z3::mk_or(diffs);
-}
-
-}  // namespace
-
 CheckOutcome check_invariant_kinduction(const ts::TransitionSystem& ts, Expr invariant,
                                         const KInductionOptions& options) {
   if (!invariant.valid() || !invariant.type().is_bool())

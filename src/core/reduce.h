@@ -1,0 +1,57 @@
+// The reduction stage: the one place the two model reductions run.
+//
+// The paper's Fig. 4 workflow reduces the model, checks it, and carries the
+// verdict back to the original system. Both reductions take the caller's
+// engine as a callback, so core::check, core::Session, bdd::check_invariant_bdd
+// and parameter synthesis share one set of transfer, lift, refine and
+// fallback rules. Callers run the quotient first, then the optimizer (on the
+// quotient and on the concrete fallback alike).
+#pragma once
+
+#include <functional>
+#include <span>
+#include <vector>
+
+#include "core/checker.h"
+#include "opt/optimize.h"
+
+namespace verdict::core {
+
+/// Decides `properties` on `system` under `options`, one outcome per property.
+using QuotientDecide = std::function<std::vector<CheckOutcome>(
+    const ts::TransitionSystem& system, std::span<const ltl::Formula> properties,
+    const CheckOptions& options)>;
+
+/// Decides `properties` on `system`: one outcome per property, or for
+/// parameter synthesis one per witness trace.
+using Decide = std::function<std::vector<CheckOutcome>(
+    const ts::TransitionSystem& system, std::span<const ltl::Formula> properties)>;
+
+/// True for the final verdicts a reduction hands back (kHolds, kViolated).
+[[nodiscard]] bool decided(const CheckOutcome& outcome);
+
+/// The abs/ counting quotient with its CEGAR loop (docs/abstraction.md), for
+/// the invariant-shaped properties when options.abstract is set and the
+/// engine is not kLtlLasso. The quotient is decided with abstract off, kAuto
+/// mapped to kKInduction, and half the remaining budget. A quotient kHolds
+/// transfers without its artifact (it names counter variables); a kViolated
+/// is concretized through `decide` by kBmc on `ts` at the trace's depth, with
+/// both reductions off; a spurious trace splits an orbit, at most twice.
+/// Returns one outcome per property: decided ones are final, the rest are
+/// kUnknown carrying the cost spent, for the caller's concrete path. Counts
+/// abs.spurious_traces, abs.cegar_refinements and abs.fallback_concrete (per
+/// attempted property left undecided).
+[[nodiscard]] std::vector<CheckOutcome> check_quotient(
+    const ts::TransitionSystem& ts, std::span<const ltl::Formula> properties,
+    const CheckOptions& options, const QuotientDecide& decide);
+
+/// One opt::optimize run over `properties` (docs/optimizer.md), decided by
+/// `decide`. Artifacts are pinned to the propagated constants and every trace
+/// is lifted back (core::lift_counterexample). If a trace does not lift,
+/// `decide` runs again on `ts`, with the discarded attempt's cost merged in.
+[[nodiscard]] std::vector<CheckOutcome> check_optimized(
+    const ts::TransitionSystem& ts, std::span<const ltl::Formula> properties,
+    const opt::OptimizeOptions& options, const util::Deadline& deadline,
+    const Decide& decide);
+
+}  // namespace verdict::core

@@ -4,12 +4,12 @@
 #include <iomanip>
 #include <sstream>
 
-#include "abs/quotient.h"
+#include "core/engine_util.h"
 #include "core/liveness.h"
+#include "core/reduce.h"
 #include "enc/unroller.h"
 #include "ltl/parser.h"
 #include "obs/trace.h"
-#include "opt/optimize.h"
 #include "portfolio/portfolio.h"
 #include "smt/solver.h"
 #include "util/log.h"
@@ -19,31 +19,6 @@ namespace verdict::core {
 using expr::Expr;
 
 namespace {
-
-ts::Trace extract_trace(smt::Solver& solver, const ts::TransitionSystem& ts, int depth) {
-  ts::Trace trace;
-  trace.params = solver.state_at(ts.params(), 0);
-  for (int i = 0; i <= depth; ++i) trace.states.push_back(solver.state_at(ts.vars(), i));
-  return trace;
-}
-
-z3::expr states_distinct(smt::Solver& solver, const ts::TransitionSystem& ts, int i, int j) {
-  z3::expr_vector diffs(solver.context());
-  for (Expr v : ts.vars())
-    diffs.push_back(solver.translate(v, i) != solver.translate(v, j));
-  return z3::mk_or(diffs);
-}
-
-// Records optimizer-propagated constants on a proof artifact: the engine
-// proved the property of the reduced system, so the exported certificate is
-// valid only relative to these pinned equalities (docs/incremental.md).
-void pin_artifact(CheckOutcome& o, const opt::Optimized& optimized) {
-  if (!o.artifact || !optimized.changed()) return;
-  for (const auto& [var, value] : optimized.propagated_vars)
-    o.artifact->pinned.set(var, value);
-  for (const auto& [param, value] : optimized.propagated_params)
-    o.artifact->pinned.set(param, value);
-}
 
 // Folds a delegated one-shot outcome's cost into the session total.
 void fold_cost(Stats& total, const Stats& stats) {
@@ -323,7 +298,7 @@ SessionResult Session::check_all(const SessionOptions& options) const {
     }
     todo.push_back(i);
   }
-  // Snapshot before the abstraction pre-pass trims `todo`: outcomes the
+  // Snapshot before the quotient stage trims `todo`: outcomes the
   // quotient decides are fresh too and must reach the cache hook.
   const std::vector<std::size_t> fresh = todo;
   const auto store_fresh = [&] {
@@ -336,170 +311,89 @@ SessionResult Session::check_all(const SessionOptions& options) const {
     result.total.seconds = watch.elapsed_seconds();
     return result;
   }
+  const auto formulas_of = [&](const std::vector<std::size_t>& members) {
+    std::vector<ltl::Formula> out;
+    out.reserve(members.size());
+    for (const std::size_t i : members) out.push_back(properties_[i].formula);
+    return out;
+  };
 
-  // Abstraction pre-pass (docs/abstraction.md): detect symmetry once and
-  // check the whole invariant group against one counting quotient before any
-  // concrete engine runs. kHolds transfers soundly (the quotient simulates
-  // the concrete system); an abstract violation is only believed after a
-  // bounded concrete replay reproduces it; anything else falls through to the
-  // shared engines below. The batch path does not refine — the per-property
-  // CEGAR loop in core::check covers that, and the delegated re-checks below
-  // inherit options.abstract so undecided properties still reach it.
-  if (options.abstract && options.engine != Engine::kLtlLasso &&
-      options.engine != Engine::kExplicit &&
-      !options.deadline.expired_or_cancelled()) {
-    std::vector<std::size_t> group;
-    std::vector<ltl::Formula> group_formulas;
-    for (const std::size_t i : todo) {
-      if (!ltl::is_invariant_property(properties_[i].formula)) continue;
-      group.push_back(i);
-      group_formulas.push_back(properties_[i].formula);
-    }
-    std::optional<abs::Abstraction> abstraction;
-    if (!group.empty()) {
-      abs::AbstractionOptions ao;
-      ao.deadline = options.deadline;
-      abstraction = abs::abstract_system(system_, group_formulas, ao);
-    }
-    if (abstraction) {
-      Session quotient(abstraction->system);
-      for (std::size_t slot = 0; slot < group.size(); ++slot)
-        quotient.add_property(properties_[group[slot]].name,
-                              abstraction->properties[slot]);
-      SessionOptions qo = options;
-      qo.cache = nullptr;   // quotient verdicts must not masquerade as concrete
-      qo.abstract = false;  // never re-abstract the quotient
-      // Mirrors check_with_abstraction: counting quotients are induction-
-      // friendly (the per-orbit sum invariant makes the rewritten properties
-      // typically 1-inductive) while PDR tends to enumerate counter values,
-      // and the attempt must leave budget for replay and concrete fallback.
-      if (qo.engine == Engine::kAuto) qo.engine = Engine::kKInduction;
-      qo.deadline = options.deadline.is_finite()
-                        ? options.deadline.clipped_to(
-                              options.deadline.remaining_seconds() / 2)
-                        : options.deadline;
-      SessionResult qr = quotient.check_all(qo);
-      fold_cost(result.total, qr.total);
-      std::ostringstream qmsg;
-      qmsg << "holds on counting quotient (" << abstraction->vars_collapsed
-           << " vars collapsed across " << abstraction->orbits.size()
-           << " orbit" << (abstraction->orbits.size() == 1 ? "" : "s") << ")";
-      std::vector<bool> decided(properties_.size(), false);
-      for (std::size_t slot = 0; slot < group.size(); ++slot) {
-        const std::size_t i = group[slot];
-        CheckOutcome& out = qr.properties[slot].outcome;
-        if (out.verdict == Verdict::kHolds) {
-          // The certificate names counter variables that do not exist in the
-          // concrete system — the verdict transfers, the artifact cannot.
-          out.artifact.reset();
-          out.message = out.message.empty() ? qmsg.str()
-                                            : qmsg.str() + "; " + out.message;
-          result.properties[i].outcome = std::move(out);
-          decided[i] = true;
-          continue;
-        }
-        if (out.verdict != Verdict::kViolated) continue;
-        // Concretize: BMC is complete at the abstract trace's depth, so a
-        // kBoundReached here is a definitive "spurious" and the property
-        // drops to the concrete machinery below.
-        CheckOptions co;
-        co.engine = Engine::kBmc;
-        co.max_depth = out.counterexample
-                           ? static_cast<int>(out.counterexample->length())
-                           : options.max_depth;
-        co.deadline = options.deadline;
-        co.optimize = options.optimize;
-        co.abstract = false;
-        CheckOutcome conc = check(system_, properties_[i].formula, co);
-        fold_cost(result.total, conc.stats);
-        if (conc.verdict == Verdict::kViolated) {
-          result.properties[i].outcome = std::move(conc);
-          decided[i] = true;
-        } else if (conc.verdict == Verdict::kBoundReached ||
-                   conc.verdict == Verdict::kHolds) {
-          obs::count("abs.spurious_traces");
-        }
-      }
-      std::erase_if(todo, [&](std::size_t i) { return decided[i]; });
-      if (todo.empty()) {
-        store_fresh();
-        result.total.seconds = watch.elapsed_seconds();
-        return result;
-      }
-    }
+  // Counting quotient first (core/reduce.h): the whole invariant group is
+  // abstracted once and checked by a nested cache-less session; properties it
+  // does not decide fall through to the shared engines below.
+  const CheckOptions check_options{.engine = options.engine, .max_depth = options.max_depth,
+                                   .deadline = options.deadline, .jobs = options.jobs,
+                                   .optimize = options.optimize, .abstract = options.abstract};
+  const auto decide_nested = [&](const ts::TransitionSystem& system,
+                                 std::span<const ltl::Formula> properties,
+                                 const CheckOptions& co) {
+    Session nested(system);
+    for (const ltl::Formula& f : properties) nested.add_property("", f);
+    // Cache-less: reduced-system verdicts must not masquerade as concrete.
+    SessionResult r = nested.check_all({.engine = co.engine, .max_depth = co.max_depth,
+                                        .deadline = co.deadline, .jobs = co.jobs,
+                                        .cache = nullptr, .optimize = co.optimize,
+                                        .abstract = co.abstract});
+    fold_cost(result.total, r.total);
+    std::vector<CheckOutcome> outcomes;
+    for (PropertyVerdict& p : r.properties) outcomes.push_back(std::move(p.outcome));
+    return outcomes;
+  };
+  {
+    std::vector<CheckOutcome> quotient =
+        check_quotient(system_, formulas_of(todo), check_options, decide_nested);
+    for (std::size_t slot = 0; slot < quotient.size(); ++slot)
+      if (decided(quotient[slot]))
+        result.properties[todo[slot]].outcome = std::move(quotient[slot]);
+    std::erase_if(todo, [&](std::size_t i) { return decided(result.properties[i].outcome); });
   }
+  // Re-decides on the concrete system go straight to the engines: the
+  // quotient has had its turn.
+  CheckOptions concrete = check_options;
+  concrete.abstract = false;
 
-  // Session-level optimization: fold + constant propagation run ONCE over the
-  // shared system (sound for every property shape; constant lifting is
-  // exact). The shared safety group additionally gets one cone-of-influence
-  // slice below. Delegated one-shot checks go through core::check on the
-  // original system, which applies (and lifts) its own optimization.
-  std::vector<ltl::Formula> formulas(properties_.size());
-  for (const std::size_t i : todo) formulas[i] = properties_[i].formula;
-  opt::Optimized base;
-  const ts::TransitionSystem* sys = &system_;
-  if (options.optimize) {
-    std::vector<ltl::Formula> batch;
-    batch.reserve(todo.size());
-    for (const std::size_t i : todo) batch.push_back(formulas[i]);
+  // Runs `run` over `members` behind the optimizer (core/reduce.h): one
+  // optimizer pass per group, traces lifted back, artifacts pinned.
+  const auto decide_group = [&](const std::vector<std::size_t>& members, bool slice,
+                                const Decide& run) {
+    const std::vector<ltl::Formula> group = formulas_of(members);
     opt::OptimizeOptions oo;
-    oo.slice = false;
-    base = opt::optimize(system_, batch, oo);
-    if (base.changed()) {
-      sys = &base.system;
-      for (std::size_t slot = 0; slot < todo.size(); ++slot)
-        formulas[todo[slot]] = base.properties[slot];
-    }
-  }
-  // Re-inserts constants propagated by the session-level pass (idempotent on
-  // traces already complete w.r.t. the original system).
-  const auto lift_base = [&](CheckOutcome& o) {
-    if (o.verdict == Verdict::kViolated && o.counterexample && base.changed())
-      (void)base.lift_trace(*o.counterexample);  // no slice => always succeeds
+    oo.slice = slice;
+    std::vector<CheckOutcome> outcomes =
+        options.optimize ? check_optimized(system_, group, oo, options.deadline, run)
+                         : run(system_, group);
+    for (std::size_t slot = 0; slot < members.size(); ++slot)
+      result.properties[members[slot]].outcome = std::move(outcomes[slot]);
   };
 
   // Parallel sessions: (property × engine) lanes on one pool.
-  if (options.engine == Engine::kPortfolio ||
-      (options.engine == Engine::kAuto && options.jobs != 1)) {
+  if (!todo.empty() && (options.engine == Engine::kPortfolio ||
+                        (options.engine == Engine::kAuto && options.jobs != 1))) {
     portfolio::PortfolioOptions po;
     po.max_depth = options.max_depth;
     po.deadline = options.deadline;
     po.jobs = options.jobs;
-    std::vector<ltl::Formula> batch;
-    batch.reserve(todo.size());
-    for (const std::size_t i : todo) batch.push_back(formulas[i]);
-    std::vector<CheckOutcome> outcomes =
-        portfolio::check_portfolio_batch(*sys, batch, po);
-    for (std::size_t slot = 0; slot < outcomes.size(); ++slot) {
-      fold_cost(result.total, outcomes[slot].stats);
-      lift_base(outcomes[slot]);
-      pin_artifact(outcomes[slot], base);
-      result.properties[todo[slot]].outcome = std::move(outcomes[slot]);
-    }
-    store_fresh();
-    result.total.seconds = watch.elapsed_seconds();
-    return result;
+    decide_group(todo, false,
+                 [&](const ts::TransitionSystem& system, std::span<const ltl::Formula> batch) {
+                   std::vector<CheckOutcome> outcomes =
+                       portfolio::check_portfolio_batch(system, batch, po);
+                   for (const CheckOutcome& o : outcomes) fold_cost(result.total, o.stats);
+                   return outcomes;
+                 });
+    todo.clear();
   }
 
   // Partition by sharing opportunity.
-  std::vector<std::size_t> safety;  // shared BMC / k-induction group
-  std::vector<std::size_t> lasso;   // shared per-depth lasso group
+  std::vector<std::size_t> safety;    // shared BMC / k-induction group
+  std::vector<std::size_t> lasso;     // shared per-depth lasso group
   std::vector<std::size_t> delegate;  // one-shot core::check per property
-  std::vector<Expr> invariant(properties_.size());
-  std::vector<Expr> bad(properties_.size());
-  std::vector<std::size_t> lasso_slot(properties_.size());
-
   for (const std::size_t i : todo) {
-    const ltl::Formula& f = formulas[i];
-    const bool inv = ltl::is_invariant_property(f);
-    if (inv && options.engine != Engine::kLtlLasso) {
-      if (options.engine == Engine::kPdr || options.engine == Engine::kExplicit) {
-        delegate.push_back(i);  // no shared unrolling for PDR / explicit
-      } else {
-        safety.push_back(i);
-        invariant[i] = ltl::invariant_atom(f);
-        bad[i] = expr::mk_not(invariant[i]);
-      }
+    const ltl::Formula& f = properties_[i].formula;
+    if (ltl::is_invariant_property(f) && options.engine != Engine::kLtlLasso) {
+      // No shared unrolling for PDR / explicit.
+      (options.engine == Engine::kPdr || options.engine == Engine::kExplicit ? delegate
+                                                                             : safety)
+          .push_back(i);
       continue;
     }
     if (options.engine == Engine::kExplicit)
@@ -511,7 +405,6 @@ SessionResult Session::check_all(const SessionOptions& options) const {
       delegate.push_back(i);  // L2S proof path, one product system per property
       continue;
     }
-    lasso_slot[i] = lasso.size();
     lasso.push_back(i);
   }
 
@@ -519,51 +412,29 @@ SessionResult Session::check_all(const SessionOptions& options) const {
     // One cone-of-influence slice for the whole safety group: the cone seeds
     // from the union of the group's property supports, so every member runs
     // on the same (smaller) shared unrolling.
-    const ts::TransitionSystem* gsys = sys;
-    opt::Optimized sliced;
-    if (options.optimize) {
-      std::vector<ltl::Formula> gf;
-      gf.reserve(safety.size());
-      for (const std::size_t i : safety) gf.push_back(formulas[i]);
-      sliced = opt::optimize(*sys, gf, {});
-      if (sliced.changed()) {
-        gsys = &sliced.system;
-        for (std::size_t slot = 0; slot < safety.size(); ++slot) {
-          const std::size_t i = safety[slot];
-          invariant[i] = ltl::invariant_atom(sliced.properties[slot]);
-          bad[i] = expr::mk_not(invariant[i]);
-        }
+    const auto run_safety = [&](const ts::TransitionSystem& system,
+                                std::span<const ltl::Formula> group) {
+      // Indexed like result.properties, so session.resolve events name the
+      // session's property indices.
+      std::vector<PropertyVerdict> local(properties_.size());
+      std::vector<Expr> invariant(properties_.size());
+      std::vector<Expr> bad(properties_.size());
+      for (std::size_t slot = 0; slot < group.size(); ++slot) {
+        invariant[safety[slot]] = ltl::invariant_atom(group[slot]);
+        bad[safety[slot]] = expr::mk_not(invariant[safety[slot]]);
       }
-    }
-    Group group(result.properties, safety, watch,
-                options.engine == Engine::kBmc ? "bmc" : "k-induction");
-    if (options.engine == Engine::kBmc) {
-      run_shared_bmc(*gsys, group, bad, options, result.total);
-    } else {
-      run_shared_kinduction(*gsys, group, invariant, bad, options, result.total);
-    }
-    if (sliced.changed()) {
-      for (const std::size_t i : safety) {
-        CheckOutcome& o = result.properties[i].outcome;
-        if (o.verdict != Verdict::kViolated || !o.counterexample) continue;
-        if (lift_counterexample(sliced, *o.counterexample, options.deadline)) continue;
-        // The sliced-away component cannot execute alongside this trace:
-        // re-decide this property on the unoptimized system.
-        CheckOptions co;
-        co.engine = options.engine;
-        co.max_depth = options.max_depth;
-        co.deadline = options.deadline;
-        co.optimize = false;
-        co.abstract = false;  // re-decide wants a concrete trace, verbatim
-        CheckOutcome redecided = check(system_, properties_[i].formula, co);
-        fold_cost(result.total, redecided.stats);
-        o = std::move(redecided);
+      Group shared(local, safety, watch,
+                   options.engine == Engine::kBmc ? "bmc" : "k-induction");
+      if (options.engine == Engine::kBmc) {
+        run_shared_bmc(system, shared, bad, options, result.total);
+      } else {
+        run_shared_kinduction(system, shared, invariant, bad, options, result.total);
       }
-    }
-    for (const std::size_t i : safety) {
-      pin_artifact(result.properties[i].outcome, sliced);
-      pin_artifact(result.properties[i].outcome, base);
-    }
+      std::vector<CheckOutcome> outcomes;
+      for (const std::size_t i : safety) outcomes.push_back(std::move(local[i].outcome));
+      return outcomes;
+    };
+    decide_group(safety, true, run_safety);
   }
   // kAuto: k-induction may leave properties undecided that PDR can settle;
   // fall back to the one-shot auto pipeline for exactly those.
@@ -572,44 +443,30 @@ SessionResult Session::check_all(const SessionOptions& options) const {
       CheckOutcome& o = result.properties[i].outcome;
       if (o.verdict != Verdict::kBoundReached && o.verdict != Verdict::kUnknown) continue;
       if (options.deadline.expired_or_cancelled()) continue;
-      CheckOptions co;
-      co.engine = Engine::kAuto;
-      co.max_depth = options.max_depth;
-      co.deadline = options.deadline;
-      co.optimize = options.optimize;
-      co.abstract = options.abstract;  // per-property CEGAR can still refine
-      CheckOutcome redecided = check(system_, properties_[i].formula, co);
+      CheckOutcome redecided = check(system_, properties_[i].formula, concrete);
       fold_cost(result.total, redecided.stats);
       o = std::move(redecided);
     }
   }
 
   for (const std::size_t i : delegate) {
-    CheckOptions co;
-    co.engine = options.engine;
-    co.max_depth = options.max_depth;
-    co.deadline = options.deadline;
-    co.optimize = options.optimize;
-    co.abstract = options.abstract;
-    CheckOutcome one_shot = check(system_, properties_[i].formula, co);
+    CheckOutcome one_shot = check(system_, properties_[i].formula, concrete);
     fold_cost(result.total, one_shot.stats);
     result.properties[i].outcome = std::move(one_shot);
   }
 
   if (!lasso.empty()) {
-    std::vector<ltl::Formula> lasso_formulas;
-    lasso_formulas.reserve(lasso.size());
-    for (const std::size_t i : lasso) lasso_formulas.push_back(formulas[i]);
     LivenessOptions lo;
     lo.max_depth = options.max_depth;
     lo.deadline = options.deadline;
-    LassoBatchResult batch = check_ltl_lasso_batch(*sys, lasso_formulas, lo);
-    for (const std::size_t i : lasso)
-      result.properties[i].outcome = std::move(batch.outcomes[lasso_slot[i]]);
-    fold_cost(result.total, batch.shared);
+    decide_group(lasso, false,
+                 [&](const ts::TransitionSystem& system, std::span<const ltl::Formula> group) {
+                   LassoBatchResult batch = check_ltl_lasso_batch(system, group, lo);
+                   fold_cost(result.total, batch.shared);
+                   return std::move(batch.outcomes);
+                 });
   }
 
-  for (const std::size_t i : todo) lift_base(result.properties[i].outcome);
   store_fresh();
   result.total.seconds = watch.elapsed_seconds();
   return result;

@@ -27,6 +27,14 @@
 // share an unrolling and delegate to core::check per property. jobs > 1 (or
 // kPortfolio) schedules (property × engine) lanes on one thread pool via
 // portfolio::check_portfolio_batch.
+//
+// Reductions run through core/reduce.h, with the same rules as core::check:
+// the invariant group first meets one counting quotient (core::check_quotient,
+// refinement included), and what it leaves undecided runs on the concrete
+// system behind one optimizer pass per group (core::check_optimized: one
+// slice for the shared safety group, fold + constant propagation for the
+// lasso group). Re-decides and delegated core::check calls skip the quotient,
+// which has already had its turn.
 #pragma once
 
 #include <string>
@@ -69,15 +77,16 @@ struct SessionOptions {
   /// Optional verdict memoization (not owned; may be shared across sessions
   /// and threads — implementations must be thread-safe). nullptr = off.
   PropertyCacheHook* cache = nullptr;
-  /// Run the opt/ pipeline once per session (fold + constant propagation on
-  /// the shared system, plus one cone-of-influence slice for the shared
-  /// safety group). Counterexamples are lifted back before they are reported
-  /// or offered to the cache hook.
+  /// Run the opt/ pipeline once per shared group (one cone-of-influence
+  /// slice for the safety group, fold + constant propagation for the lasso
+  /// group and portfolio batches). Counterexamples are lifted back before
+  /// they are reported or offered to the cache hook.
   bool optimize = true;
-  /// Run the abs/ symmetry-reduction pre-pass once per session: the whole
-  /// invariant group is checked against one counting quotient first; holds
-  /// transfer directly, abstract violations must replay concretely, anything
-  /// else falls through to the engines unchanged. Like optimize=false, turning
+  /// Run the abs/ symmetry-reduction stage once per session: the whole
+  /// invariant group is checked against one counting quotient first (see
+  /// core::check_quotient); holds transfer directly, abstract violations must
+  /// replay concretely, spurious ones refine the quotient, and anything else
+  /// falls through to the concrete engines. Like optimize=false, turning
   /// this off also bypasses the cache lookup (hits may have been produced
   /// through the abstraction) while still refreshing stored entries.
   bool abstract = true;

@@ -4,11 +4,11 @@
 #include <numeric>
 #include <optional>
 
-#include "core/checker.h"
+#include "core/engine_util.h"
 #include "core/explicit.h"
 #include "core/kinduction.h"
 #include "core/pdr.h"
-#include "opt/optimize.h"
+#include "core/reduce.h"
 #include "enc/unroller.h"
 #include "smt/solver.h"
 #include "util/log.h"
@@ -18,37 +18,6 @@ namespace verdict::core {
 using expr::Expr;
 
 namespace {
-
-// A copy of `ts` whose parameters are pinned to the given assignment.
-ts::TransitionSystem pinned_system(const ts::TransitionSystem& ts,
-                                   const ts::State& params) {
-  ts::TransitionSystem pinned = ts;
-  for (Expr p : ts.params()) {
-    const auto v = params.get(p);
-    if (!v) throw std::invalid_argument("pinned_system: missing parameter value");
-    pinned.add_param_constraint(expr::mk_eq(p, expr::constant_of(*v, p.type())));
-  }
-  return pinned;
-}
-
-// Does a previously found counterexample stay feasible under `params`?
-bool trace_feasible_under(const ts::TransitionSystem& ts, const ts::Trace& witness,
-                          const ts::State& params, Expr invariant) {
-  ts::Trace replay = witness;
-  replay.params = params;
-  std::string ignored;
-  if (!ts.trace_conforms(replay, &ignored)) return false;
-  // The final state must still violate the invariant.
-  return !expr::eval_bool(invariant, ts.env_of(replay.states.back(), params));
-}
-
-z3::expr synth_states_distinct(smt::Solver& solver, const ts::TransitionSystem& ts,
-                               int i, int j) {
-  z3::expr_vector diffs(solver.context());
-  for (Expr v : ts.vars())
-    diffs.push_back(solver.translate(v, i) != solver.translate(v, j));
-  return z3::mk_or(diffs);
-}
 
 // Persistent-solver k-induction sweep: ONE base solver and ONE step solver
 // survive the whole enumeration. Candidates are pinned with assumption
@@ -114,7 +83,7 @@ SynthResult synthesize_params_kinduction(const ts::TransitionSystem& ts, Expr in
     step.ensure_frames(k + 1);
     step_solver.add(invariant, k);  // P holds on every non-final step frame
     for (int j = 0; j < k + 1; ++j)
-      step_solver.add(synth_states_distinct(step_solver, ts, j, k + 1));
+      step_solver.add(states_distinct(step_solver, ts, j, k + 1));
 
     for (const std::size_t i : std::vector<std::size_t>(pending)) {
       if (options.deadline.expired_or_cancelled()) break;
@@ -179,31 +148,8 @@ SynthResult synthesize_params_kinduction(const ts::TransitionSystem& ts, Expr in
   return result;
 }
 
-}  // namespace
-
-SynthResult synthesize_params(const ts::TransitionSystem& ts, Expr invariant,
-                              const SynthOptions& options) {
-  ts.validate();
-  if (options.optimize) {
-    opt::OptimizeOptions oo;
-    oo.keep_params = true;  // the sweep must see the full parameter space
-    const opt::Optimized optimized = opt::optimize_invariant(ts, invariant, oo);
-    SynthOptions inner = options;
-    inner.optimize = false;
-    if (optimized.changed()) {
-      SynthResult result =
-          synthesize_params(optimized.system, opt::invariant_atom(optimized), inner);
-      bool lifted = true;
-      for (ts::Trace& w : result.witnesses)
-        lifted = lifted && lift_counterexample(optimized, w, options.deadline);
-      if (lifted) return result;
-      // Some sliced witness has no matching execution of the dropped
-      // component — its "unsafe" classification may be spurious. Redo the
-      // sweep on the original system.
-      return synthesize_params(ts, invariant, inner);
-    }
-    return synthesize_params(ts, invariant, inner);
-  }
+SynthResult sweep_sequential(const ts::TransitionSystem& ts, Expr invariant,
+                             const SynthOptions& options) {
   util::Stopwatch watch;
   SynthResult result;
   result.stats.engine =
@@ -273,6 +219,42 @@ SynthResult synthesize_params(const ts::TransitionSystem& ts, Expr invariant,
   }
   result.stats.seconds = watch.elapsed_seconds();
   return result;
+}
+
+}  // namespace
+
+SynthResult synthesize_optimized(const ts::TransitionSystem& ts, Expr invariant,
+                                 const util::Deadline& deadline, const SynthSweep& sweep) {
+  ts.validate();
+  opt::OptimizeOptions oo;
+  oo.keep_params = true;  // the sweep must see the full parameter space
+  const ltl::Formula property = ltl::G(ltl::atom(invariant));
+  SynthResult result;
+  // The witnesses travel through the reduction as outcomes, one per witness,
+  // so they are lifted (or the sweep redone) like any counterexample.
+  std::vector<CheckOutcome> witnesses = check_optimized(
+      ts, {&property, 1}, oo, deadline,
+      [&](const ts::TransitionSystem& system, std::span<const ltl::Formula> properties) {
+        result = sweep(system, ltl::invariant_atom(properties.front()));
+        std::vector<CheckOutcome> out(result.witnesses.size());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i].verdict = Verdict::kViolated;
+          out[i].counterexample = std::move(result.witnesses[i]);
+        }
+        return out;
+      });
+  for (std::size_t i = 0; i < witnesses.size(); ++i)
+    result.witnesses[i] = std::move(*witnesses[i].counterexample);
+  return result;
+}
+
+SynthResult synthesize_params(const ts::TransitionSystem& ts, Expr invariant,
+                              const SynthOptions& options) {
+  return synthesize_optimized(
+      ts, invariant, options.deadline,
+      [&](const ts::TransitionSystem& system, Expr atom) {
+        return sweep_sequential(system, atom, options);
+      });
 }
 
 }  // namespace verdict::core

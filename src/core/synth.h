@@ -20,6 +20,7 @@
 // per candidate (see enc::Unroller).
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "core/result.h"
@@ -41,12 +42,6 @@ struct SynthOptions {
   /// portfolio::synthesize_params_parallel work-steals candidates across this
   /// many workers (0 = all hardware threads) and honors every other knob.
   std::size_t jobs = 1;
-  /// Run the opt/ pipeline with parameters kept rigid-symbolic (the sweep
-  /// still enumerates the full parameter space; only property-irrelevant
-  /// state variables are folded or sliced away). Witness traces are lifted
-  /// back; if any cannot be, the whole sweep transparently reruns
-  /// unoptimized.
-  bool optimize = true;
 };
 
 struct SynthResult {
@@ -63,9 +58,25 @@ struct SynthResult {
 };
 
 /// Classifies every parameter assignment of `ts` w.r.t. G(invariant).
-/// All parameters must be finite-domain.
+/// All parameters must be finite-domain. The sweep runs behind the opt/
+/// pipeline (see synthesize_optimized).
 [[nodiscard]] SynthResult synthesize_params(const ts::TransitionSystem& ts,
                                             expr::Expr invariant,
                                             const SynthOptions& options = {});
+
+/// A parameter sweep: classifies every parameter assignment of `ts` w.r.t.
+/// G(invariant), with one witness trace per unsafe assignment.
+using SynthSweep =
+    std::function<SynthResult(const ts::TransitionSystem& ts, expr::Expr invariant)>;
+
+/// Runs `sweep` behind the optimizer (core::check_optimized) with parameters
+/// kept rigid-symbolic: the sweep still enumerates the full parameter space,
+/// and only property-irrelevant state variables are folded or sliced away.
+/// Witness traces are lifted back; if any cannot be, the sweep reruns on the
+/// original system. Shared by the sequential and the parallel drivers.
+[[nodiscard]] SynthResult synthesize_optimized(const ts::TransitionSystem& ts,
+                                               expr::Expr invariant,
+                                               const util::Deadline& deadline,
+                                               const SynthSweep& sweep);
 
 }  // namespace verdict::core

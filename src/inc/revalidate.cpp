@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine_util.h"
 #include "enc/unroller.h"
 #include "smt/solver.h"
 
@@ -27,16 +28,6 @@ void track(RevalidateResult& r, const smt::Solver& s) {
 std::string query_failed(const char* which, smt::CheckResult r) {
   return std::string(which) +
          (r == smt::CheckResult::kSat ? " query sat" : " query unknown");
-}
-
-// "State i differs from state j" — the simple-path strengthening the
-// k-induction engine accumulates (kinduction.cpp), replayed here wholesale.
-z3::expr states_distinct(smt::Solver& solver, const ts::TransitionSystem& ts,
-                         int i, int j) {
-  z3::expr_vector diffs(solver.context());
-  for (const Expr v : ts.vars())
-    diffs.push_back(solver.translate(v, i) != solver.translate(v, j));
-  return z3::mk_or(diffs);
 }
 
 }  // namespace
@@ -152,7 +143,7 @@ RevalidateResult revalidate(const ts::TransitionSystem& system,
     for (int i = 0; i <= k; ++i) solver.add(inv, i);
     if (!system.vars().empty()) {
       for (int i = 1; i <= k + 1; ++i)
-        for (int j = 0; j < i; ++j) solver.add(states_distinct(solver, system, j, i));
+        for (int j = 0; j < i; ++j) solver.add(core::states_distinct(solver, system, j, i));
     }
     const std::vector<z3::expr> assumptions{unroller.literal(bad, k + 1)};
     const smt::CheckResult r = solver.check_assuming(assumptions, deadline);

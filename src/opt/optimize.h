@@ -34,7 +34,7 @@
 // component can actually execute alongside it — lift_trace searches for such
 // an execution explicitly and reports failure (empty or deadlocked dropped
 // component), in which case the caller must fall back to the unoptimized
-// system. core::check implements exactly that fallback.
+// system. core::check_optimized implements exactly that fallback.
 //
 // Layering: opt/ sits with the substrate — it depends only on expr, ts, ltl
 // and obs, and is linked by core, bdd and svc.

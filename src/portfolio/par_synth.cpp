@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 
+#include "core/engine_util.h"
 #include "core/explicit.h"
 #include "core/kinduction.h"
 #include "core/pdr.h"
@@ -22,29 +23,6 @@ using core::Verdict;
 using expr::Expr;
 
 namespace {
-
-// Mirrors the helpers of core/synth.cpp: a candidate is checked on a copy of
-// the system with its parameters pinned, and previously found traces condemn
-// a candidate when they replay cleanly under its parameter values.
-ts::TransitionSystem pinned_system(const ts::TransitionSystem& ts,
-                                   const ts::State& params) {
-  ts::TransitionSystem pinned = ts;
-  for (Expr p : ts.params()) {
-    const auto v = params.get(p);
-    if (!v) throw std::invalid_argument("pinned_system: missing parameter value");
-    pinned.add_param_constraint(expr::mk_eq(p, expr::constant_of(*v, p.type())));
-  }
-  return pinned;
-}
-
-bool trace_feasible_under(const ts::TransitionSystem& ts, const ts::Trace& witness,
-                          const ts::State& params, Expr invariant) {
-  ts::Trace replay = witness;
-  replay.params = params;
-  std::string ignored;
-  if (!ts.trace_conforms(replay, &ignored)) return false;
-  return !expr::eval_bool(invariant, ts.env_of(replay.states.back(), params));
-}
 
 // Candidate indices distributed over per-worker deques. A worker pops from
 // the front of its own deque; when that runs dry it steals the back half of
@@ -135,14 +113,8 @@ struct WorkerTally {
   std::size_t pruned_by_replay = 0;
 };
 
-}  // namespace
-
-SynthResult synthesize_params_parallel(const ts::TransitionSystem& ts, Expr invariant,
-                                       const SynthOptions& options) {
-  const std::size_t jobs = options.jobs == 0 ? default_jobs() : options.jobs;
-  if (jobs <= 1) return core::synthesize_params(ts, invariant, options);
-
-  ts.validate();
+SynthResult sweep_parallel(const ts::TransitionSystem& ts, Expr invariant,
+                           const SynthOptions& options, std::size_t jobs) {
   util::Stopwatch watch;
   SynthResult result;
   result.stats.engine =
@@ -173,7 +145,7 @@ SynthResult synthesize_params_parallel(const ts::TransitionSystem& ts, Expr inva
       cursor = pool.fetch_from(cursor, known);
       bool condemned = false;
       for (const auto& witness : known) {
-        if (trace_feasible_under(ts, *witness, candidate, invariant)) {
+        if (core::trace_feasible_under(ts, *witness, candidate, invariant)) {
           ts::Trace replay = *witness;
           replay.params = candidate;
           tally.classified.push_back({index, Class::kUnsafe, std::move(replay)});
@@ -185,7 +157,7 @@ SynthResult synthesize_params_parallel(const ts::TransitionSystem& ts, Expr inva
       if (condemned) continue;
 
       try {
-        const ts::TransitionSystem pinned = pinned_system(ts, candidate);
+        const ts::TransitionSystem pinned = core::pinned_system(ts, candidate);
         const double budget = std::min(options.per_candidate_seconds,
                                        options.deadline.remaining_seconds());
         core::CheckOutcome outcome;
@@ -271,6 +243,18 @@ SynthResult synthesize_params_parallel(const ts::TransitionSystem& ts, Expr inva
                   << " workers, " << queues.steals() << " steals, "
                   << result.pruned_by_replay << " replay prunes";
   return result;
+}
+
+}  // namespace
+
+SynthResult synthesize_params_parallel(const ts::TransitionSystem& ts, Expr invariant,
+                                       const SynthOptions& options) {
+  const std::size_t jobs = options.jobs == 0 ? default_jobs() : options.jobs;
+  if (jobs <= 1) return core::synthesize_params(ts, invariant, options);
+  return core::synthesize_optimized(ts, invariant, options.deadline,
+                                    [&](const ts::TransitionSystem& system, Expr atom) {
+                                      return sweep_parallel(system, atom, options, jobs);
+                                    });
 }
 
 }  // namespace verdict::portfolio

@@ -18,7 +18,8 @@
 // Result classification is identical to the sequential driver's (safe /
 // unsafe / undecided partitions match modulo deadline races), and the
 // safe/unsafe/undecided vectors come back in candidate-enumeration order, so
-// output is deterministic for a fixed classification.
+// output is deterministic for a fixed classification. Like the sequential
+// driver, the sweep runs behind the optimizer (core::synthesize_optimized).
 #pragma once
 
 #include "core/synth.h"

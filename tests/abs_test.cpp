@@ -10,6 +10,7 @@
 #include "abs/quotient.h"
 #include "abs/symmetry.h"
 #include "core/checker.h"
+#include "core/session.h"
 #include "ltl/ltl.h"
 #include "net/topology.h"
 #include "obs/trace.h"
@@ -256,7 +257,12 @@ TEST(Quotient, ViolatingTraceReplaysOnConcreteSystem) {
 // property "at most B links deviate" admits a violation the concrete system
 // does not have; the CEGAR loop must flag it spurious, refine, and land on
 // kHolds via the concrete fallback.
-TEST(Cegar, SpuriousCounterexampleDrivesRefinement) {
+struct CegarCase {
+  ts::TransitionSystem system;
+  ltl::Formula property;
+};
+
+CegarCase cegar_case() {
   net::Topology topo;
   const net::NodeId f = topo.add_node("F");
   const net::NodeId r1 = topo.add_node("R1");
@@ -273,18 +279,53 @@ TEST(Cegar, SpuriousCounterexampleDrivesRefinement) {
   scenarios::RolloutPartitionOptions options;
   options.prefix = "cegar";
   const auto scenario = scenarios::make_rollout_partition(topo, f, {a, b}, options);
-  const auto system =
-      pinned(scenario.system, {{scenario.p, 0}, {scenario.k, 1}, {scenario.m, 1}});
+  return {pinned(scenario.system, {{scenario.p, 0}, {scenario.k, 1}, {scenario.m, 1}}),
+          scenario.property};
+}
 
+TEST(Cegar, SpuriousCounterexampleDrivesRefinement) {
+  const CegarCase c = cegar_case();
   obs::reset_counters();
   core::CheckOptions check;
   check.deadline = util::Deadline::after_seconds(120);
-  const auto outcome = core::check(system, scenario.property, check);
+  const auto outcome = core::check(c.system, c.property, check);
   EXPECT_EQ(outcome.verdict, core::Verdict::kHolds);
   EXPECT_GE(counter("abs.spurious_traces"), 1u)
       << "the abstract counterexample must be detected as spurious";
   EXPECT_GE(counter("abs.cegar_refinements"), 1u)
       << "a spurious trace must drive an orbit split, not a silent fallback";
+}
+
+// A batch session runs the same quotient stage as core::check: on the CEGAR
+// system it reaches the same verdict with the same spurious / refinement /
+// fallback counts, per engine.
+TEST(Cegar, SessionMatchesOneShotCheck) {
+  const CegarCase c = cegar_case();
+  const char* const kCounters[] = {"abs.spurious_traces", "abs.cegar_refinements",
+                                   "abs.fallback_concrete"};
+  for (const core::Engine engine :
+       {core::Engine::kKInduction, core::Engine::kBmc, core::Engine::kAuto}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    obs::reset_counters();
+    core::CheckOptions check;
+    check.engine = engine;
+    check.deadline = util::Deadline::after_seconds(120);
+    const core::Verdict one_shot = core::check(c.system, c.property, check).verdict;
+    std::vector<std::uint64_t> expected;
+    for (const char* name : kCounters) expected.push_back(counter(name));
+    EXPECT_GE(expected[1], 1u);
+
+    obs::reset_counters();
+    core::Session session(c.system);
+    session.add_property("cegar", c.property);
+    core::SessionOptions options;
+    options.engine = engine;
+    options.deadline = util::Deadline::after_seconds(120);
+    const core::SessionResult batch = session.check_all(options);
+    EXPECT_EQ(batch.properties.front().outcome.verdict, one_shot);
+    for (std::size_t j = 0; j < expected.size(); ++j)
+      EXPECT_EQ(counter(kCounters[j]), expected[j]) << kCounters[j];
+  }
 }
 
 TEST(Cegar, FallbackCountedWhenNoOrbitSurvives) {

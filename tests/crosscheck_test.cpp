@@ -16,6 +16,7 @@
 #include "core/session.h"
 #include "core/synth.h"
 #include "ltl/trace_eval.h"
+#include "obs/trace.h"
 #include "portfolio/lemma_bus.h"
 #include "portfolio/par_synth.h"
 #include "portfolio/portfolio.h"
@@ -436,6 +437,41 @@ TEST(SynthCrossCheck, ParallelMatchesSequentialClassification) {
     EXPECT_TRUE(ts.trace_conforms(parallel.witnesses[i], &error)) << error;
     EXPECT_FALSE(expr::eval_bool(
         invariant, ts.env_of(parallel.witnesses[i].states.back(), parallel.unsafe[i])));
+  }
+}
+
+// The parallel driver runs behind the same optimizer as the sequential one:
+// a parameter-free variable outside the property's cone is sliced away
+// (opt.vars_removed moves) and the classification is unchanged.
+TEST(SynthCrossCheck, ParallelMatchesSequentialBehindOptimizer) {
+  ts::TransitionSystem ts;
+  const Expr x = expr::int_var("posxc_x", 0, 6);
+  const Expr idle = expr::int_var("posxc_idle", 0, 3);
+  const Expr cap = expr::int_var("posxc_cap", 0, 6);
+  ts.add_var(x);
+  ts.add_var(idle);
+  ts.add_param(cap);
+  ts.add_init(expr::mk_eq(x, expr::int_const(0)));
+  ts.add_init(expr::mk_eq(idle, expr::int_const(0)));
+  ts.add_trans(expr::mk_eq(expr::next(x), expr::ite(expr::mk_lt(x, cap), x + 1, x)));
+  ts.add_trans(expr::mk_eq(expr::next(idle), expr::mk_min(idle + 1, expr::int_const(3))));
+  const Expr invariant = expr::mk_le(x, expr::int_const(3));
+
+  const auto sequential = core::synthesize_params(ts, invariant);
+  ASSERT_TRUE(sequential.complete());
+
+  core::SynthOptions options;
+  options.jobs = 2;
+  const auto before = obs::counters_snapshot()["opt.vars_removed"];
+  const auto parallel = portfolio::synthesize_params_parallel(ts, invariant, options);
+  EXPECT_GE(obs::counters_snapshot()["opt.vars_removed"] - before, 1u);
+  ASSERT_TRUE(parallel.complete());
+  EXPECT_EQ(parallel.safe, sequential.safe);
+  EXPECT_EQ(parallel.unsafe, sequential.unsafe);
+  ASSERT_EQ(parallel.witnesses.size(), parallel.unsafe.size());
+  for (const ts::Trace& witness : parallel.witnesses) {
+    std::string error;
+    EXPECT_TRUE(ts.trace_conforms(witness, &error)) << error;
   }
 }
 

@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "bdd/checker.h"
 #include "core/checker.h"
+#include "core/session.h"
 #include "expr/eval.h"
 #include "expr/simplify.h"
 #include "ltl/ltl.h"
@@ -324,6 +326,20 @@ TEST(Optimize, LiftRejectsInfeasibleDroppedComponent) {
         core::confirm_counterexample(ts, ltl::G(ltl::atom(x < 3)), outcome, &error))
         << error;
   }
+
+  // Every entry point shares the re-decide rule: the BDD engine and a kBmc
+  // batch session reach their unoptimized reference verdicts too.
+  bdd::BddOptions bdd_unopt;
+  bdd_unopt.optimize = false;
+  EXPECT_EQ(bdd::check_invariant_bdd(ts, x < 3).verdict,
+            bdd::check_invariant_bdd(ts, x < 3, bdd_unopt).verdict);
+  core::Session session(ts);
+  session.add_property("x_lt_3", ltl::G(ltl::atom(x < 3)));
+  core::SessionOptions session_options;
+  session_options.engine = core::Engine::kBmc;
+  session_options.max_depth = 10;
+  const core::SessionResult batch = session.check_all(session_options);
+  EXPECT_EQ(batch.properties.front().outcome.verdict, reference.verdict);
 }
 
 TEST(Optimize, LiftRespectsDeclaredRangesInDeterministicExtraction) {

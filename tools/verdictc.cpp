@@ -528,7 +528,6 @@ int main(int argc, char** argv) {
     try {
       bdd::BddOptions check;
       check.deadline = deadline;
-      check.optimize = options.optimize;
       const auto outcome = bdd::check_ctl_bdd(model.system, property, check);
       std::printf("ctl %-24s %s\n", name.c_str(), core::describe(outcome).c_str());
       records.push_back({name, "ctl", property.str(), outcome});
