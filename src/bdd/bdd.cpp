@@ -85,6 +85,60 @@ void Manager::table_insert(std::uint32_t var, std::uint32_t id) {
   ++table_nodes_;
 }
 
+void Manager::table_erase(std::uint32_t var, std::uint32_t id) {
+  SubTable& t = tables_[var];
+  const std::size_t mask = t.slots.size() - 1;
+  std::size_t gap = pair_hash(nodes_[id].low, nodes_[id].high) & mask;
+  while (t.slots[gap] != id) gap = (gap + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the probe run into the
+  // gap when the gap lies between its home slot and its current slot, so no
+  // lookup ever stops short at the emptied slot.
+  for (std::size_t j = (gap + 1) & mask; t.slots[j] != kEmptySlot; j = (j + 1) & mask) {
+    const Node& n = nodes_[t.slots[j]];
+    const std::size_t home = pair_hash(n.low, n.high) & mask;
+    if (((j - home) & mask) >= ((j - gap) & mask)) {
+      t.slots[gap] = t.slots[j];
+      gap = j;
+    }
+  }
+  t.slots[gap] = kEmptySlot;
+  --t.count;
+  --table_nodes_;
+}
+
+void Manager::collect(std::uint32_t id) {
+  const Node n = nodes_[id];
+  table_erase(n.var, id);
+  nodes_[id] = Node{kTerminalVar, 0, 0};
+  ++collected_;
+  if (reordering_ && id >= sift_first_id_) free_ids_.push_back(id);
+  // Recursion depth is bounded by the number of variables, as in ite_rec.
+  release(n.low);
+  release(n.high);
+}
+
+void Manager::collect_garbage() {
+  // Gather first: collect() reshuffles the subtables it erases from.
+  std::vector<std::uint32_t> roots;
+  for (const SubTable& t : tables_)
+    for (const std::uint32_t id : t.slots)
+      if (id != kEmptySlot && nodes_[id].ref == 0 && !nodes_[id].exported) roots.push_back(id);
+  const std::size_t before = collected_;
+  for (const std::uint32_t id : roots) collect(id);
+  if (collected_ > before) obs::count("bdd.gc.collected", collected_ - before);
+}
+
+void Manager::purge_dead_cache_entries() {
+  for (CacheEntry& e : ite_cache_) {
+    if (e.a == kEmptySlot) continue;
+    if (is_hole(e.a) || is_hole(e.b) || is_hole(e.c) || is_hole(e.r)) e = CacheEntry{};
+  }
+  for (CacheEntry& e : diff_cache_) {
+    if (e.a == kEmptySlot) continue;
+    if (is_hole(e.a) || is_hole(e.b) || is_hole(e.r)) e = CacheEntry{};
+  }
+}
+
 Bdd Manager::make(std::uint32_t var, Bdd low, Bdd high) {
   if (low == high) return low;
   SubTable& t = tables_[var];
@@ -96,8 +150,15 @@ Bdd Manager::make(std::uint32_t var, Bdd low, Bdd high) {
     if (n.low == low.id() && n.high == high.id()) return Bdd(t.slots[i]);
     i = (i + 1) & mask;
   }
-  const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.push_back(Node{var, low.id(), high.id()});
+  std::uint32_t id;
+  if (free_ids_.empty()) {
+    id = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{var, low.id(), high.id()});
+  } else {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+    nodes_[id] = Node{var, low.id(), high.id()};
+  }
   ref_inc(low.id());
   ref_inc(high.id());
   t.slots[i] = id;
@@ -115,17 +176,17 @@ Bdd Manager::make(std::uint32_t var, Bdd low, Bdd high) {
 
 Bdd Manager::var(std::uint32_t v) {
   if (v >= num_vars_) throw std::invalid_argument("Bdd var: unknown variable");
-  return make(v, Bdd::zero(), Bdd::one());
+  return exported(make(v, Bdd::zero(), Bdd::one()));
 }
 
 Bdd Manager::nvar(std::uint32_t v) {
   if (v >= num_vars_) throw std::invalid_argument("Bdd nvar: unknown variable");
-  return make(v, Bdd::one(), Bdd::zero());
+  return exported(make(v, Bdd::one(), Bdd::zero()));
 }
 
 Bdd Manager::ite(Bdd f, Bdd g, Bdd h) {
   OpGuard guard(*this);
-  return ite_rec(f, g, h);
+  return exported(ite_rec(f, g, h));
 }
 
 Bdd Manager::ite_rec(Bdd f, Bdd g, Bdd h) {
@@ -164,7 +225,7 @@ Bdd Manager::apply_xor(Bdd a, Bdd b) { return ite(a, apply_not(b), b); }
 Bdd Manager::apply_diff(Bdd a, Bdd b, ReachIndex* index) {
   OpGuard guard(*this);
   if (index != nullptr) index->bind(*this);
-  return diff_rec(a, b, index);
+  return exported(diff_rec(a, b, index));
 }
 
 Bdd Manager::diff_rec(Bdd a, Bdd b, ReachIndex* index) {
@@ -257,7 +318,7 @@ Bdd Manager::exists(Bdd f, std::span<const std::uint32_t> vars) {
     memo.emplace(x.id(), result);
     return result;
   };
-  return go(f);
+  return exported(go(f));
 }
 
 Bdd Manager::forall(Bdd f, std::span<const std::uint32_t> vars) {
@@ -301,7 +362,7 @@ Bdd Manager::and_exists(Bdd f, Bdd g, std::span<const std::uint32_t> vars) {
     memo.emplace(key, result);
     return result;
   };
-  return go(f, g);
+  return exported(go(f, g));
 }
 
 Bdd Manager::rename(Bdd f, std::span<const std::uint32_t> perm) {
@@ -317,7 +378,7 @@ Bdd Manager::rename(Bdd f, std::span<const std::uint32_t> perm) {
     memo.emplace(x.id(), result);
     return result;
   };
-  return go(f);
+  return exported(go(f));
 }
 
 std::vector<bool> Manager::any_sat(Bdd f) {
@@ -437,46 +498,24 @@ void Manager::swap_adjacent(std::uint32_t p) {
   const std::uint32_t v = var_at_pos_[p + 1];
   SubTable& tu = tables_[u];
 
-  // Partition u's nodes: those with a child branching on v must be rewritten
-  // in place (their id keeps denoting the same function, so every client
-  // handle and cache entry stays valid); orphaned mid-sift creations are
-  // dropped on the spot (see Node::ref) — the walking block's subtable is
-  // rebuilt every swap, so its exploration garbage never outlives one
-  // position; the rest are untouched.
-  std::vector<std::uint32_t> keep;
+  // u's nodes with a child branching on v must be rewritten in place (their
+  // id keeps denoting the same function, so every client handle and cache
+  // entry stays valid); the rest are untouched.
   std::vector<std::uint32_t> rewrite;
-  std::vector<std::uint32_t> drop;
-  keep.reserve(tu.count);
   for (const std::uint32_t id : tu.slots) {
     if (id == kEmptySlot) continue;
     const Node& n = nodes_[id];
-    if (n.ref == 0 && id >= sift_gc_floor_) {
-      drop.push_back(id);
-    } else if (nodes_[n.low].var == v || nodes_[n.high].var == v) {
-      rewrite.push_back(id);
-    } else {
-      keep.push_back(id);
-    }
+    if (nodes_[n.low].var == v || nodes_[n.high].var == v) rewrite.push_back(id);
   }
 
   var_at_pos_[p] = v;
   var_at_pos_[p + 1] = u;
   pos_of_var_[u] = p + 1;
   pos_of_var_[v] = p;
-  if (rewrite.empty() && drop.empty()) return;
+  if (rewrite.empty()) return;
 
-  // Rebuild u's subtable with only the untouched nodes, then rewrite.
-  std::fill(tu.slots.begin(), tu.slots.end(), kEmptySlot);
-  table_nodes_ -= tu.count;
-  tu.count = 0;
-  for (const std::uint32_t id : keep) table_insert(u, id);
-  for (const std::uint32_t id : drop) {
-    // The hole keeps its id forever; kTerminalVar marks it already-unlinked
-    // so a later sweep does not decrement its children a second time.
-    ref_dec(nodes_[id].low);
-    ref_dec(nodes_[id].high);
-    nodes_[id].var = kTerminalVar;
-  }
+  for (const std::uint32_t id : rewrite) table_erase(u, id);
+  const std::size_t collected_before = collected_;
   for (const std::uint32_t id : rewrite) {
     const Node n = nodes_[id];  // copy: nodes_ may reallocate below
     const bool low_on_v = nodes_[n.low].var == v;
@@ -490,19 +529,17 @@ void Manager::swap_adjacent(std::uint32_t p) {
     const Bdd new_high = make(u, f01, f11);
     ref_inc(new_low.id());
     ref_inc(new_high.id());
-    ref_dec(n.low);
-    ref_dec(n.high);
-    if (is_counted(id)) {
-      cref_inc(new_low.id());
-      cref_inc(new_high.id());
-      cref_dec(n.low);
-      cref_dec(n.high);
-    }
     nodes_[id].var = v;
     nodes_[id].low = new_low.id();
     nodes_[id].high = new_high.id();
     table_insert(v, id);
+    // The old cofactors lose a parent; any left orphaned and unexported are
+    // garbage now, and so is whatever only they kept alive.
+    release(n.low);
+    release(n.high);
   }
+  // Inside a sift the purge runs once, when the sift ends.
+  if (!reordering_ && collected_ != collected_before) purge_dead_cache_entries();
   static std::atomic<std::uint64_t>& swaps = obs::counter("bdd.reorder.swaps");
   swaps.fetch_add(1, std::memory_order_relaxed);
 }
@@ -510,7 +547,11 @@ void Manager::swap_adjacent(std::uint32_t p) {
 void Manager::sift() {
   if (num_vars_ < 2 * block_size_) return;
   reordering_ = true;
-  const std::uint32_t first_new_id = static_cast<std::uint32_t>(nodes_.size());
+  // With the garbage gone, every table node is reachable from an exported
+  // node, and for a fixed order that set is canonical: table_nodes_ is the
+  // honest quality metric, and walking back to the best position restores it.
+  sift_first_id_ = static_cast<std::uint32_t>(nodes_.size());
+  collect_garbage();
   const std::uint32_t nb = num_vars_ / block_size_;  // trailing partial block never moves
 
   // Largest blocks first: they have the most to gain.
@@ -523,166 +564,42 @@ void Manager::sift() {
   }
   std::sort(by_size.begin(), by_size.end(), std::greater<>());
 
-  // Seed the reachability metric (see counted_): every in-table node with no
-  // parents might be a client handle, so all of them are roots. Their
-  // reachable closure is the conservative live size; swaps keep it current.
-  cref_.assign(nodes_.size(), 0);
-  counted_ = 0;
-  {
-    std::vector<std::uint32_t> roots;
-    for (const SubTable& t : tables_)
-      for (const std::uint32_t id : t.slots)
-        if (id != kEmptySlot && nodes_[id].ref == 0) roots.push_back(id);
-    for (const std::uint32_t id : roots) cref_inc(id);
-  }
-  const std::size_t live_before = counted_;
-
+  const std::size_t live_before = table_nodes_;
   std::ptrdiff_t budget = static_cast<std::ptrdiff_t>(swap_budget_for(nb));
   for (const auto& [unused_sz, block] : by_size) {
     if (budget <= 0) break;
-    // Each block walk rewrites nodes via make(), leaving the replaced child
-    // cofactors behind as garbage. Sweeping per block (not once per pass)
-    // keeps the table — and table_nodes_, the sifting quality metric — from
-    // swelling with dead exploration nodes, which would otherwise slow every
-    // later swap and distort the best-position tracking.
-    const std::uint32_t block_first_new_id = static_cast<std::uint32_t>(nodes_.size());
-    sift_gc_floor_ = block_first_new_id;
     // Walk the block down to the bottom, then up to the top, tracking the
-    // position with the fewest total table nodes; finish by walking back to
-    // it. A direction is abandoned early when the total grows past 1.2x the
-    // best seen (the classic sifting max-growth heuristic).
+    // position with the fewest table nodes; finish by walking back to it. A
+    // direction is abandoned early when the total grows past 1.2x the best
+    // seen (the classic sifting max-growth heuristic).
     std::uint32_t bp = block_pos_of(block);
     const std::uint32_t origin = bp;
-    std::size_t best = counted_;
+    std::size_t best = table_nodes_;
     std::uint32_t best_pos = bp;
     const auto limit = [&] { return best + best / 5 + 16; };
-    while (bp + 1 < nb && counted_ <= limit()) {
+    while (bp + 1 < nb && table_nodes_ <= limit()) {
       swap_blocks(bp);
       --budget;
       ++bp;
-      if (counted_ < best) best = counted_, best_pos = bp;
+      if (table_nodes_ < best) best = table_nodes_, best_pos = bp;
     }
     // Walking back through already-explored positions undoes any growth, so
     // the max-growth abort only applies above the starting position.
-    while (bp > 0 && (bp > origin || counted_ <= limit())) {
+    while (bp > 0 && (bp > origin || table_nodes_ <= limit())) {
       swap_blocks(bp - 1);
       --budget;
       --bp;
-      if (counted_ < best) best = counted_, best_pos = bp;
+      if (table_nodes_ < best) best = table_nodes_, best_pos = bp;
     }
     while (bp < best_pos) swap_blocks(bp), ++bp;
     while (bp > best_pos) swap_blocks(bp - 1), --bp;
-    sweep_created_since(block_first_new_id);
   }
-  sift_gc_floor_ = 0xffffffffu;
-  // Savings are measured on the reachable size: dead pre-sift structure gets
-  // rewritten along with everything else and can grow, so table_nodes_ may
-  // rise even as the live functions collapse.
-  const std::size_t live_after = counted_;
-  cref_ = {};
-  counted_ = 0;
-
-  sweep_created_since(first_new_id);
+  free_ids_.clear();
+  purge_dead_cache_entries();
   ++reorder_runs_;
   obs::count("bdd.reorder.runs");
-  if (live_before > live_after) obs::count("bdd.reorder.nodes_saved", live_before - live_after);
+  if (live_before > table_nodes_) obs::count("bdd.reorder.nodes_saved", live_before - table_nodes_);
   reordering_ = false;
-}
-
-void Manager::sweep_created_since(std::uint32_t start) {
-  const std::uint32_t end = static_cast<std::uint32_t>(nodes_.size());
-  if (end == start) return;
-  // Mark phase: anything a pre-`start` node (transitively) points at is live.
-  // Client handles and cache keys predate the sift, so they can only name
-  // pre-`start` ids; everything newer is reachable — or garbage.
-  std::vector<bool> live(end - start, false);
-  std::vector<std::uint32_t> stack;
-  const auto visit = [&](std::uint32_t child) {
-    if (child >= start && !live[child - start]) {
-      live[child - start] = true;
-      stack.push_back(child);
-    }
-  };
-  for (std::uint32_t id = 2; id < start; ++id) {
-    visit(nodes_[id].low);
-    visit(nodes_[id].high);
-  }
-  while (!stack.empty()) {
-    const std::uint32_t id = stack.back();
-    stack.pop_back();
-    visit(nodes_[id].low);
-    visit(nodes_[id].high);
-  }
-  const auto dead = [&](std::uint32_t id) { return id >= start && !live[id - start]; };
-
-  // Unlink phase: a dying subtree's edges into surviving nodes must come off
-  // the survivors' ref counts (edges between two dead nodes die wholesale).
-  // Nodes swap_adjacent already dropped are marked kTerminalVar and were
-  // unlinked then; skipping them here avoids a double decrement.
-  for (std::uint32_t id = start; id < end; ++id) {
-    Node& n = nodes_[id];
-    if (!dead(id) || n.var == kTerminalVar) continue;
-    if (!dead(n.low)) ref_dec(n.low);
-    if (!dead(n.high)) ref_dec(n.high);
-    n.var = kTerminalVar;
-  }
-
-  // Sweep phase: rebuild any subtable holding dead ids. The Node structs stay
-  // behind as inert holes — ids are never reused, so canonicity holds.
-  for (SubTable& t : tables_) {
-    bool any_dead = false;
-    for (const std::uint32_t id : t.slots) {
-      if (id != kEmptySlot && dead(id)) {
-        any_dead = true;
-        break;
-      }
-    }
-    if (!any_dead) continue;
-    std::vector<std::uint32_t> keep;
-    keep.reserve(t.count);
-    for (const std::uint32_t id : t.slots)
-      if (id != kEmptySlot && !dead(id)) keep.push_back(id);
-    table_nodes_ -= t.count - keep.size();
-    std::fill(t.slots.begin(), t.slots.end(), kEmptySlot);
-    const std::size_t mask = t.slots.size() - 1;
-    for (const std::uint32_t id : keep) {
-      std::size_t i = pair_hash(nodes_[id].low, nodes_[id].high) & mask;
-      while (t.slots[i] != kEmptySlot) i = (i + 1) & mask;
-      t.slots[i] = id;
-    }
-    t.count = keep.size();
-  }
-
-  // A cache entry naming a dead id could resurrect it after an equal-keyed
-  // node is rebuilt under a fresh id — two ids for one function. Purge.
-  for (CacheEntry& e : ite_cache_) {
-    if (e.a == kEmptySlot) continue;
-    if (dead(e.a) || dead(e.b) || dead(e.c) || dead(e.r)) e = CacheEntry{};
-  }
-  for (CacheEntry& e : diff_cache_) {
-    if (e.a == kEmptySlot) continue;
-    if (dead(e.a) || dead(e.b) || dead(e.r)) e = CacheEntry{};
-  }
-
-}
-
-void Manager::cref_inc(std::uint32_t id) {
-  if (id <= 1) return;
-  if (id >= cref_.size()) cref_.resize(nodes_.size(), 0);
-  if (++cref_[id] == 1) {
-    ++counted_;
-    cref_inc(nodes_[id].low);
-    cref_inc(nodes_[id].high);
-  }
-}
-
-void Manager::cref_dec(std::uint32_t id) {
-  if (id <= 1 || id >= cref_.size()) return;
-  if (--cref_[id] == 0) {
-    --counted_;
-    cref_dec(nodes_[id].low);
-    cref_dec(nodes_[id].high);
-  }
 }
 
 }  // namespace verdict::bdd

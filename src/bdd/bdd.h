@@ -11,7 +11,11 @@
 // thing), while its *position* in the order is mutable: dynamic reordering by
 // sifting moves variables via an in-place `swap_adjacent` that preserves both
 // canonicity and the function denoted by every live node id — outstanding Bdd
-// handles and cache entries stay valid across reorders. The unique table is a
+// handles and cache entries stay valid across reorders. Sifting also collects
+// garbage: a node no public operation ever returned (see Node::exported) and
+// with no parents cannot be named by any client, so it is unlinked and its id
+// left as a hole. An id anything outside the manager could have seen is never
+// reused. The unique table is a
 // per-variable open-addressed subtable (which also gives sifting its node
 // counts per level for free) and the ite computed-cache is a lossy
 // direct-mapped array. Complement edges are not used.
@@ -122,16 +126,18 @@ class Manager {
   /// creations (so deadlines bind even when a single apply blows up — the
   /// fixpoint loop's own polls never run if encode_predicate diverges first).
   /// When the hook returns true the in-flight operation throws AbortRequested;
-  /// the manager stays structurally valid, leaving at most unreferenced nodes
-  /// behind (the same garbage class as sifting exploration). Never fires
-  /// mid-sift: reordering must complete atomically. Pass nullptr to clear.
+  /// the manager stays structurally valid. The aborted operation never
+  /// returned, so the nodes it created are unexported and the next sift
+  /// collects them. Never fires mid-sift: reordering must complete
+  /// atomically. Pass nullptr to clear.
   void set_abort_check(std::function<bool()> check) { abort_check_ = std::move(check); }
 
   // Node structure access (for traversals by the checker). level_of returns
-  // the *variable index* of the node (stable across reorders).
+  // the *variable index* of the node (stable across reorders). The children
+  // become client handles, so they are exported like any operation result.
   [[nodiscard]] std::uint32_t level_of(Bdd f) const { return nodes_[f.id()].var; }
-  [[nodiscard]] Bdd low_of(Bdd f) const { return Bdd(nodes_[f.id()].low); }
-  [[nodiscard]] Bdd high_of(Bdd f) const { return Bdd(nodes_[f.id()].high); }
+  [[nodiscard]] Bdd low_of(Bdd f) { return exported(Bdd(nodes_[f.id()].low)); }
+  [[nodiscard]] Bdd high_of(Bdd f) { return exported(Bdd(nodes_[f.id()].high)); }
 
   // --- Dynamic variable reordering (sifting) ---------------------------------
 
@@ -147,44 +153,46 @@ class Manager {
   /// each run so reordering cost stays amortized).
   void set_reorder_threshold(std::size_t nodes) { reorder_threshold_ = nodes; }
 
-  /// Runs one sifting pass immediately (regardless of thresholds).
+  /// Collects garbage, then runs one sifting pass immediately (regardless of
+  /// thresholds).
   void reorder_now();
 
   /// Number of completed sifting passes (diagnostics / tests).
   [[nodiscard]] std::size_t reorder_runs() const { return reorder_runs_; }
 
   /// Swaps the variables at order positions `pos` and `pos+1`. Canonicity and
-  /// every outstanding handle's meaning are preserved; exposed for tests.
+  /// every outstanding handle's meaning are preserved; nodes the swap orphans
+  /// are collected unless exported. Exposed for tests.
   void swap_adjacent(std::uint32_t pos);
 
   /// Current order: variable index at each position (diagnostics / tests).
   [[nodiscard]] const std::vector<std::uint32_t>& order() const { return var_at_pos_; }
 
-  /// Live unique-table entries (excludes terminals; includes nodes no longer
-  /// referenced by any client handle — the package has no GC).
+  /// Unique-table entries (excludes terminals). Right after a sift these are
+  /// exactly the nodes reachable from exported ones; between sifts the table
+  /// may also hold garbage that the next sift collects.
   [[nodiscard]] std::size_t table_nodes() const { return table_nodes_; }
 
  private:
   struct Node {
-    std::uint32_t var;  // kTerminalVar for terminals (and for removed holes)
+    std::uint32_t var;  // kTerminalVar for terminals and for collected holes
     std::uint32_t low;
     std::uint32_t high;
-    // Number of *internal* parent edges (client handles are not counted, so
-    // ref == 0 does not mean dead in general). During sifting it does: nodes
-    // created mid-walk can have no client handles, so ref == 0 && id >=
-    // sift_gc_floor_ identifies exploration garbage the moment it is
-    // orphaned. Culling it keeps table_nodes_ — the sifting quality metric —
-    // honest; without this, a walk's own garbage outweighs any real
-    // improvement and every block "best" degenerates to its origin.
-    std::uint32_t ref = 0;
+    // Number of *internal* parent edges; client handles are not counted.
+    // Instead a node is `exported` once a public operation returns it, and it
+    // stays so forever. Between operations, a node that is neither exported
+    // nor has a parent can be named by no client handle and no other node,
+    // only by computed-cache entries, so it is garbage (see collect()).
+    std::uint32_t ref : 31 = 0;
+    std::uint32_t exported : 1 = 0;
   };
   static constexpr std::uint32_t kTerminalVar = 0xffffffffu;
   static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
   // Per-variable unique subtable: open-addressed, linear probing, no
-  // tombstones (deletion happens only via whole-table rebuild in
-  // swap_adjacent). Slots hold node ids; the key is (low, high).
+  // tombstones (table_erase shifts the probe chain back instead). Slots hold
+  // node ids; the key is (low, high).
   struct SubTable {
     std::vector<std::uint32_t> slots;
     std::size_t count = 0;
@@ -210,31 +218,39 @@ class Manager {
 
   void table_grow(std::uint32_t var);
   void table_insert(std::uint32_t var, std::uint32_t id);  // raw, assumes absent
+  void table_erase(std::uint32_t var, std::uint32_t id);
   void ref_inc(std::uint32_t id) {
     if (id > 1) ++nodes_[id].ref;
   }
-  void ref_dec(std::uint32_t id) {
-    if (id > 1) --nodes_[id].ref;
+  // Drops one parent edge of `id`, collecting it if that orphans garbage.
+  void release(std::uint32_t id) {
+    if (id > 1 && --nodes_[id].ref == 0 && !nodes_[id].exported) collect(id);
   }
-  // Mid-sift reachability counting (see counted_): number of *counted*
-  // parents, seeded with +1 for each sift-start root. A node is counted —
-  // contributes to the sifting metric and propagates to its children — iff
-  // its cref is positive. Sized lazily during sift; empty otherwise.
-  void cref_inc(std::uint32_t id);
-  void cref_dec(std::uint32_t id);
-  [[nodiscard]] bool is_counted(std::uint32_t id) const {
-    return id < cref_.size() && cref_[id] > 0;
+  // Marks `f` as handed to a client (see Node::exported).
+  Bdd exported(Bdd f) {
+    nodes_[f.id()].exported = 1;
+    return f;
   }
   static std::size_t pair_hash(std::uint32_t low, std::uint32_t high);
+
+  // Unlinks the garbage node `id` and, recursively, every child that it
+  // leaves as garbage. Each id becomes a hole (kTerminalVar, low == high)
+  // that no make() can match. Only ids born inside the running sift are
+  // reused (free_ids_), so an id a ReachIndex mark or a cache entry holds
+  // never comes to name a different node.
+  void collect(std::uint32_t id);
+  // Collects every garbage node in the unique table.
+  void collect_garbage();
+  // Drops computed-cache entries that mention a hole: a cached result naming
+  // a collected id would hand a dead node back out.
+  void purge_dead_cache_entries();
+  [[nodiscard]] bool is_hole(std::uint32_t id) const {
+    return id > 1 && nodes_[id].var == kTerminalVar;
+  }
 
   void maybe_reorder();
   void maybe_grow_caches();
   void sift();
-  // Collects nodes created at or after id `start` that ended up unreachable
-  // from every pre-`start` node (sifting exploration garbage): removes them
-  // from the unique tables and purges cache entries mentioning them. Node
-  // structs stay as inert holes so every id keeps meaning what it meant.
-  void sweep_created_since(std::uint32_t start);
   // Moves the block at block-position p past the one at p+1.
   void swap_blocks(std::uint32_t block_pos);
   [[nodiscard]] std::uint32_t block_pos_of(std::uint32_t block) const;
@@ -257,21 +273,11 @@ class Manager {
   std::uint32_t block_size_ = 1;
   bool reordering_ = false;
   bool reorder_pending_ = false;
-  // Ids at or above this are mid-sift creations with no client handles, so
-  // ref == 0 makes them garbage; swap_adjacent drops them during its rebuild.
-  // 0xffffffff (no valid id reaches it) disables culling outside sifting.
-  std::uint32_t sift_gc_floor_ = 0xffffffffu;
-  // Sifting cannot use table_nodes_ as its quality metric: the table keeps
-  // every pre-sift node (any might be a client handle), so when a better
-  // position makes part of the live structure fall dead the count never
-  // drops, and every block walk degenerates to "best = origin". Instead
-  // sift() snapshots the conservative root set (in-table nodes with no
-  // parents) and maintains the size of everything reachable from it —
-  // counted_ — incrementally through every swap via cref_. That reachable
-  // size is the true live size up to a position-independent constant, so
-  // minimizing it finds the genuinely best position.
-  std::vector<std::uint32_t> cref_;
-  std::size_t counted_ = 0;
+  std::size_t collected_ = 0;  // nodes collected so far
+  // Ids born and collected within the running sift: no client, cache entry
+  // or ReachIndex can have seen them, so make() may reuse them.
+  std::uint32_t sift_first_id_ = 0;
+  std::vector<std::uint32_t> free_ids_;
   std::size_t reorder_threshold_ = 4096;
   std::size_t reorder_runs_ = 0;
   int op_depth_ = 0;

@@ -8,6 +8,8 @@
 #include "bdd/reach_index.h"
 #include "core/explicit.h"
 #include "ltl/parser.h"
+#include "obs/trace.h"
+#include "scenarios/rollout_partition.h"
 
 namespace verdict {
 namespace {
@@ -187,6 +189,17 @@ struct FormulaPile {
   std::vector<std::vector<bool>> truth;  // [formula][assignment bits]
 };
 
+// f's value under every assignment of the first `nvars` variables.
+std::vector<bool> truth_table(const Manager& m, Bdd f, int nvars) {
+  std::vector<bool> rows;
+  for (int bits = 0; bits < (1 << nvars); ++bits) {
+    std::vector<bool> env;
+    for (int i = 0; i < nvars; ++i) env.push_back((bits >> i) & 1);
+    rows.push_back(m.eval(f, env));
+  }
+  return rows;
+}
+
 FormulaPile random_pile(Manager& m, int nvars, int count, std::uint64_t seed) {
   std::vector<std::uint32_t> vars;
   for (int i = 0; i < nvars; ++i) vars.push_back(m.new_var());
@@ -212,15 +225,7 @@ FormulaPile random_pile(Manager& m, int nvars, int count, std::uint64_t seed) {
     };
     pile.formulas.push_back(build(4));
   }
-  for (const Bdd f : pile.formulas) {
-    std::vector<bool> rows;
-    for (int bits = 0; bits < (1 << nvars); ++bits) {
-      std::vector<bool> env;
-      for (int i = 0; i < nvars; ++i) env.push_back((bits >> i) & 1);
-      rows.push_back(m.eval(f, env));
-    }
-    pile.truth.push_back(std::move(rows));
-  }
+  for (const Bdd f : pile.formulas) pile.truth.push_back(truth_table(m, f, nvars));
   return pile;
 }
 
@@ -255,10 +260,10 @@ TEST(BddReorder, SwapAdjacentPreservesHandlesAndCanonicity) {
   EXPECT_TRUE(m.apply_xor(ab, m.apply_and(a, b)).is_zero());
 }
 
-// Nodes reachable from the pile's handles: the size sifting actually
-// minimizes. (table_nodes() also retains dead intermediates from the pile's
-// construction, which rewrites can legitimately grow.)
-std::size_t pile_size(const Manager& m, const FormulaPile& pile) {
+// Nodes reachable from the pile's handles. (table_nodes() also counts the
+// sub-formulas the pile was built from: every operation result is a client
+// handle to the manager, so they survive garbage collection.)
+std::size_t pile_size(Manager& m, const FormulaPile& pile) {
   std::unordered_set<std::uint32_t> seen;
   std::vector<Bdd> stack(pile.formulas.begin(), pile.formulas.end());
   while (!stack.empty()) {
@@ -321,6 +326,104 @@ TEST(BddReorder, AutoReorderTriggersAndImageStaysCorrect) {
   }
   EXPECT_GE(fast.manager().reorder_runs(), 1u) << "workload never triggered sifting";
   EXPECT_EQ(slow.manager().reorder_runs(), 0u);
+}
+
+// The Fig. 6 question on the paper's test topology at p = m = 1, k = 1.
+ts::TransitionSystem fig6_test_system(const std::string& prefix) {
+  scenarios::RolloutPartitionOptions options;
+  options.prefix = prefix;
+  const auto s = scenarios::make_test_scenario(options);
+  ts::TransitionSystem out = s.system;
+  out.add_param_constraint(expr::mk_eq(s.p, expr::int_const(1)));
+  out.add_param_constraint(expr::mk_eq(s.k, expr::int_const(1)));
+  out.add_param_constraint(expr::mk_eq(s.m, expr::int_const(1)));
+  return out;
+}
+
+TEST(BddReorder, SiftOnFig6TestTopologyShrinksTheTable) {
+  const ts::TransitionSystem ts = fig6_test_system("bddro_fig6");
+  // Encoded with reordering off so the one sift below is the only one; it
+  // sifts the same interleaved cur/next pair blocks auto-reordering would.
+  bdd::SymbolicSystem sifted(ts, bdd::VarOrder::kInterleaved, /*reorder=*/false);
+  bdd::SymbolicSystem twin(ts, bdd::VarOrder::kInterleaved, /*reorder=*/false);
+  Manager& m = sifted.manager();
+  m.set_auto_reorder(false, /*block_size=*/2);
+  const std::size_t before = m.table_nodes();
+  ASSERT_GT(before, 1000u) << "the encoding is too small to exercise sifting";
+  m.reorder_now();
+  EXPECT_EQ(m.reorder_runs(), 1u);
+  // Garbage is collected, not rewritten: the table never grows ...
+  EXPECT_LE(m.table_nodes(), before);
+  // ... and the sift allocates a bounded number of fresh ids doing it.
+  EXPECT_LE(m.num_nodes(), 10 * before);
+  // Every handle the encoder holds still denotes its function.
+  Manager& t = twin.manager();
+  EXPECT_DOUBLE_EQ(m.sat_count(sifted.state_space()), t.sat_count(twin.state_space()));
+  EXPECT_DOUBLE_EQ(m.sat_count(sifted.init()), t.sat_count(twin.init()));
+  EXPECT_DOUBLE_EQ(m.sat_count(sifted.trans()), t.sat_count(twin.trans()));
+  EXPECT_DOUBLE_EQ(m.sat_count(sifted.image(sifted.init())),
+                   t.sat_count(twin.image(twin.init())));
+}
+
+TEST(BddReorder, SiftCollectsAbortedWorkAndKeepsHandles) {
+  Manager m;
+  constexpr int kVars = 10;
+  const FormulaPile pile = random_pile(m, kVars, 30, 4242);
+  // Children handed out by low_of/high_of are client handles as well.
+  FormulaPile children;
+  for (const Bdd f : pile.formulas) {
+    if (f.is_terminal()) continue;
+    for (const Bdd c : {m.low_of(f), m.high_of(f)}) {
+      children.formulas.push_back(c);
+      children.truth.push_back(truth_table(m, c, kVars));
+    }
+  }
+
+  // OR_i (x_i AND y_i) with every x above every y needs ~2^n nodes, so the
+  // abort hook (polled every 16384 creations) fires inside one of the applies.
+  constexpr int kPairs = 14;
+  std::vector<std::uint32_t> xs;
+  std::vector<std::uint32_t> ys;
+  for (int i = 0; i < kPairs; ++i) xs.push_back(m.new_var());
+  for (int i = 0; i < kPairs; ++i) ys.push_back(m.new_var());
+  m.set_abort_check([] { return true; });
+  Bdd acc = Bdd::zero();
+  int done = 0;
+  bool aborted = false;
+  try {
+    for (; done < kPairs; ++done)
+      acc = m.apply_or(acc, m.apply_and(m.var(xs[done]), m.var(ys[done])));
+  } catch (const bdd::AbortRequested&) {
+    aborted = true;
+  }
+  ASSERT_TRUE(aborted) << "the workload never reached an abort poll";
+  ASSERT_LT(done, kPairs);
+  m.set_abort_check(nullptr);
+
+  const std::uint64_t collected = obs::counter("bdd.gc.collected").load();
+  m.reorder_now();
+  EXPECT_GT(obs::counter("bdd.gc.collected").load(), collected)
+      << "the aborted apply left no garbage behind";
+  expect_pile_intact(m, pile, kVars);
+  expect_pile_intact(m, children, kVars);
+
+  // Redo the aborted step. The caches held its partial results, which the
+  // sift collected; a dead id served from a cache would differ from the
+  // canonical node the De Morgan route builds, and would evaluate wrongly.
+  const Bdd term = m.apply_and(m.var(xs[done]), m.var(ys[done]));
+  const Bdd redo = m.apply_or(acc, term);
+  EXPECT_EQ(redo, m.apply_not(m.apply_and(m.apply_not(acc), m.apply_not(term))));
+  std::uint64_t seed = 11;
+  for (int sample = 0; sample < 256; ++sample) {
+    std::vector<bool> env(m.num_vars());
+    for (std::size_t i = 0; i < env.size(); ++i) {
+      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+      env[i] = (seed >> 40) & 1;
+    }
+    bool expected = false;
+    for (int i = 0; i <= done; ++i) expected = expected || (env[xs[i]] && env[ys[i]]);
+    ASSERT_EQ(m.eval(redo, env), expected) << "sample " << sample;
+  }
 }
 
 TEST(BddManager, ApplyDiffMatchesAndNot) {
