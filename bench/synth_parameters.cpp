@@ -2,26 +2,50 @@
 // in finding safe non-zero values for p, given the property and k = 1,
 // m = 1. The system in this case suggests the values p in {1, 2}."
 //
-// We run the classification twice: over the paper's p domain {1, 2} (where
-// the suggestion is exactly {1, 2}) and over a wider domain {1..4} to show
-// where the boundary actually falls in this model (p = 4 drains all four
-// service nodes; p <= 3 keeps `available >= 1`).
+// Three rows, each with a known answer derived from the topology, not from
+// the checker:
+//   - test, p in {1, 2}: the paper's domain and answer, both safe.
+//   - test, p in {1..4}: where the boundary falls. p = 3 leaves one serving
+//     node and one failed link cannot cut the test topology, so
+//     `available >= 1`; p = 4 drains all four service nodes.
+//   - fattree4, p in {1..3}: every edge switch has two uplinks into a
+//     2-connected fabric (front-end min cut 2), so one failed link cuts no
+//     service node off; p <= 3 leaves at least 4 of the 7 service nodes
+//     serving, all safe.
+// The bench exits 1 when a row leaves a candidate undecided, classifies one
+// differently from its known answer, or returns a witness that does not
+// replay on the original system (core::confirm_counterexample).
 #include <cstdio>
+#include <set>
+#include <string>
 
 #include "bench_common.h"
+#include "core/checker.h"
 #include "core/synth.h"
 #include "ltl/ltl.h"
 #include "scenarios/rollout_partition.h"
+#include "util/stopwatch.h"
 
 namespace {
 
-void synthesize(std::int64_t max_p, const std::string& prefix) {
-  using namespace verdict;
-  scenarios::RolloutPartitionOptions options;
-  options.prefix = prefix;
-  options.max_p = max_p;
-  const auto scenario = scenarios::make_test_scenario(options);
+using namespace verdict;
 
+std::set<std::int64_t> p_values(const std::vector<ts::State>& states, expr::Expr p) {
+  std::set<std::int64_t> out;
+  for (const ts::State& s : states) out.insert(std::get<std::int64_t>(*s.get(p)));
+  return out;
+}
+
+std::string str(const std::set<std::int64_t>& values) {
+  std::string out;
+  for (const std::int64_t v : values) out += std::to_string(v) + " ";
+  return out;
+}
+
+/// Synthesizes safe p for k = 1, m = 1; true when the answer is the known one.
+bool synthesize(const std::string& name, const scenarios::RolloutPartitionScenario& scenario,
+                const std::set<std::int64_t>& expect_safe,
+                const std::set<std::int64_t>& expect_unsafe) {
   ts::TransitionSystem system = scenario.system;
   system.add_param_constraint(expr::mk_eq(scenario.k, expr::int_const(1)));
   system.add_param_constraint(expr::mk_eq(scenario.m, expr::int_const(1)));
@@ -31,30 +55,63 @@ void synthesize(std::int64_t max_p, const std::string& prefix) {
   synth.prover = core::SynthProver::kKInduction;
   synth.per_candidate_seconds = bench::timeout_seconds() * 6;
   synth.max_depth = 40;
+  const util::Stopwatch watch;
   const auto result =
       core::synthesize_params(system, ltl::invariant_atom(scenario.property), synth);
+  const double seconds = watch.elapsed_seconds();
 
-  std::printf("p domain {1..%ld}, k = 1, m = 1:\n", static_cast<long>(max_p));
-  std::printf("  safe p:   ");
-  for (const ts::State& s : result.safe)
-    std::printf("%ld ", static_cast<long>(std::get<std::int64_t>(*s.get(scenario.p))));
-  std::printf("\n  unsafe p: ");
-  for (const ts::State& s : result.unsafe)
-    std::printf("%ld ", static_cast<long>(std::get<std::int64_t>(*s.get(scenario.p))));
-  if (!result.undecided.empty()) std::printf("\n  undecided: %zu", result.undecided.size());
-  std::printf("\n  (%zu candidates condemned by counterexample replay without a solver "
+  const std::set<std::int64_t> safe = p_values(result.safe, scenario.p);
+  const std::set<std::int64_t> unsafe = p_values(result.unsafe, scenario.p);
+  std::printf("%s, k = 1, m = 1 (%.2fs):\n", name.c_str(), seconds);
+  std::printf("  safe p:   %s\n", str(safe).c_str());
+  std::printf("  unsafe p: %s\n", str(unsafe).c_str());
+  bool ok = true;
+  if (!result.undecided.empty()) {
+    std::printf("  FAIL: undecided p: %s\n", str(p_values(result.undecided, scenario.p)).c_str());
+    ok = false;
+  }
+  if (safe != expect_safe || unsafe != expect_unsafe) {
+    std::printf("  FAIL: expected safe p: %s unsafe p: %s\n", str(expect_safe).c_str(),
+                str(expect_unsafe).c_str());
+    ok = false;
+  }
+  for (const ts::Trace& witness : result.witnesses) {
+    core::CheckOutcome outcome;
+    outcome.verdict = core::Verdict::kViolated;
+    outcome.counterexample = witness;
+    std::string error;
+    if (!core::confirm_counterexample(system, scenario.property, outcome, &error)) {
+      std::printf("  FAIL: witness does not replay: %s\n", error.c_str());
+      ok = false;
+    }
+  }
+  std::printf("  (%zu candidates condemned by counterexample replay without a solver "
               "call)\n\n",
               result.pruned_by_replay);
+  return ok;
+}
+
+scenarios::RolloutPartitionOptions domain(std::int64_t max_p, const std::string& prefix) {
+  scenarios::RolloutPartitionOptions options;
+  options.prefix = prefix;
+  options.max_p = max_p;
+  return options;
 }
 
 }  // namespace
 
 int main() {
-  using namespace verdict;
-  bench::header("Parameter synthesis — safe rollout concurrency p (test topology)");
-  synthesize(2, "syn_a");  // the paper's reported domain/result: p in {1, 2}
-  synthesize(4, "syn_b");  // wider domain: the boundary sits at p = 4
+  bench::header("Parameter synthesis — safe rollout concurrency p");
+  bool ok = true;
+  // The paper's reported domain and result: p in {1, 2}.
+  ok &= synthesize("test, p domain {1..2}",
+                   scenarios::make_test_scenario(domain(2, "syn_a")), {1, 2}, {});
+  // The wider domain: the boundary sits at p = 4.
+  ok &= synthesize("test, p domain {1..4}",
+                   scenarios::make_test_scenario(domain(4, "syn_b")), {1, 2, 3}, {4});
+  ok &= synthesize("fattree4, p domain {1..3}",
+                   scenarios::make_fat_tree_scenario(4, domain(3, "syn_ft4")), {1, 2, 3}, {});
   std::printf("(paper: suggests p in {1, 2}; our wider domain also proves p = 3 safe —\n"
               " with link-level reachability one serving node keeps available >= 1.)\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "abs/quotient.h"
+#include "core/explicit.h"
 #include "expr/eval.h"
 #include "obs/trace.h"
 
@@ -181,6 +182,94 @@ std::vector<CheckOutcome> check_optimized(const ts::TransitionSystem& ts,
   for (std::size_t i = 0; i < full.size() && i < out.size(); ++i)
     full[i].stats.merge(out[i].stats);
   return full;
+}
+
+namespace {
+
+/// `sweep` behind check_optimized with the parameters kept rigid-symbolic.
+/// The witnesses travel through the optimizer as outcomes, one per witness,
+/// so they are lifted (or the sweep redone) like any counterexample; with
+/// `lift` false they are dropped instead.
+SynthResult sweep_optimized(const ts::TransitionSystem& ts, const ltl::Formula& property,
+                            const SynthOptions& options, const SynthSweep& sweep,
+                            bool lift) {
+  opt::OptimizeOptions oo;
+  oo.keep_params = true;  // the sweep must see the full parameter space
+  SynthResult result;
+  std::vector<CheckOutcome> witnesses = check_optimized(
+      ts, {&property, 1}, oo, options.deadline,
+      [&](const ts::TransitionSystem& system, std::span<const ltl::Formula> properties) {
+        result = sweep(system, ltl::invariant_atom(properties.front()), options);
+        std::vector<CheckOutcome> out;
+        if (!lift) return out;
+        out.resize(result.witnesses.size());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i].verdict = Verdict::kViolated;
+          out[i].counterexample = std::move(result.witnesses[i]);
+        }
+        return out;
+      });
+  for (std::size_t i = 0; i < witnesses.size(); ++i)
+    result.witnesses[i] = std::move(*witnesses[i].counterexample);
+  return result;
+}
+
+}  // namespace
+
+SynthResult synthesize_optimized(const ts::TransitionSystem& ts, expr::Expr invariant,
+                                 const SynthOptions& options, const SynthSweep& sweep) {
+  ts.validate();
+  const ltl::Formula property = ltl::G(ltl::atom(invariant));
+
+  // (1) The quotient, parameters symbolic. Its witnesses are abstract traces
+  // and its replay prunes decide nothing, so only its safe list is kept.
+  SynthResult proven;
+  if (!options.deadline.expired_or_cancelled()) {
+    abs::AbstractionOptions ao;
+    ao.deadline = options.deadline;
+    if (const std::optional<abs::Abstraction> quotient = abs::abstract_system(ts, property, ao)) {
+      // The split check_quotient uses: an undecided quotient leaves the
+      // concrete sweep its budget.
+      SynthOptions inner = options;
+      inner.per_candidate_seconds = options.per_candidate_seconds / 2;
+      if (options.deadline.is_finite())
+        inner.deadline = options.deadline.clipped_to(options.deadline.remaining_seconds() / 2);
+      proven = sweep_optimized(quotient->system, quotient->property(), inner, sweep,
+                               /*lift=*/false);
+    }
+  }
+  // (2) The concrete sweep over the candidates (1) left open, restricted to
+  // them by one parameter constraint (no restriction if (1) proved none).
+  // Both sweeps list candidates in enumeration order, so one walk merges them.
+  const std::vector<ts::State> candidates = enumerate_params(ts);
+  std::vector<expr::Expr> open;
+  for (std::size_t c = 0, q = 0; c < candidates.size(); ++c) {
+    if (q < proven.safe.size() && proven.safe[q] == candidates[c]) {
+      ++q;
+      continue;
+    }
+    std::vector<expr::Expr> pins;
+    for (const expr::Expr p : ts.params())
+      pins.push_back(expr::mk_eq(p, expr::constant_of(*candidates[c].get(p), p.type())));
+    open.push_back(expr::all_of(pins));
+  }
+  SynthResult result;
+  if (!open.empty()) {
+    ts::TransitionSystem restricted = ts;
+    if (!proven.safe.empty()) restricted.add_param_constraint(expr::any_of(open));
+    result = sweep_optimized(restricted, property, options, sweep, /*lift=*/true);
+  }
+  std::vector<ts::State> safe;
+  for (std::size_t c = 0, q = 0, r = 0; c < candidates.size(); ++c) {
+    if (q < proven.safe.size() && proven.safe[q] == candidates[c])
+      safe.push_back(proven.safe[q++]);
+    else if (r < result.safe.size() && result.safe[r] == candidates[c])
+      safe.push_back(result.safe[r++]);
+  }
+  result.safe = std::move(safe);
+  proven.stats.merge(result.stats);
+  result.stats = std::move(proven.stats);
+  return result;
 }
 
 }  // namespace verdict::core

@@ -5,7 +5,9 @@
 // engine as a callback, so core::check, core::Session, bdd::check_invariant_bdd
 // and parameter synthesis share one set of transfer, lift, refine and
 // fallback rules. Callers run the quotient first, then the optimizer (on the
-// quotient and on the concrete fallback alike).
+// quotient and on the concrete fallback alike). Synthesis does the same with
+// its whole parameter sweep as the callback: the quotient proves candidates
+// safe, and the concrete sweep decides the rest (synthesize_optimized).
 #pragma once
 
 #include <functional>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "core/checker.h"
+#include "core/synth.h"
 #include "opt/optimize.h"
 
 namespace verdict::core {
@@ -53,5 +56,26 @@ using Decide = std::function<std::vector<CheckOutcome>(
     const ts::TransitionSystem& ts, std::span<const ltl::Formula> properties,
     const opt::OptimizeOptions& options, const util::Deadline& deadline,
     const Decide& decide);
+
+/// A parameter sweep: classifies every parameter assignment of `ts` w.r.t.
+/// G(invariant) under `options`, with one witness trace per unsafe assignment.
+using SynthSweep = std::function<SynthResult(
+    const ts::TransitionSystem& ts, expr::Expr invariant, const SynthOptions& options)>;
+
+/// Parameter synthesis in two sweeps, each behind check_optimized with the
+/// parameters kept rigid-symbolic. (1) One counting quotient of `ts` is built
+/// with the parameters left symbolic and swept with half the remaining
+/// deadline and half the per-candidate budget: a candidate proven safe there
+/// is final, because the quotient under each assignment simulates `ts` under
+/// that assignment. (2) The candidates it leaves unsafe or undecided are
+/// swept on `ts` restricted to them by one parameter constraint, so every
+/// witness is a concrete trace, lifted back like any counterexample (or the
+/// sweep redone if one does not lift). Without a quotient, (2) sweeps every
+/// candidate. Lists come out in enumeration order; pruned_by_replay counts
+/// only (2)'s prunes. Shared by the sequential and the parallel drivers.
+[[nodiscard]] SynthResult synthesize_optimized(const ts::TransitionSystem& ts,
+                                               expr::Expr invariant,
+                                               const SynthOptions& options,
+                                               const SynthSweep& sweep);
 
 }  // namespace verdict::core

@@ -223,38 +223,9 @@ SynthResult sweep_sequential(const ts::TransitionSystem& ts, Expr invariant,
 
 }  // namespace
 
-SynthResult synthesize_optimized(const ts::TransitionSystem& ts, Expr invariant,
-                                 const util::Deadline& deadline, const SynthSweep& sweep) {
-  ts.validate();
-  opt::OptimizeOptions oo;
-  oo.keep_params = true;  // the sweep must see the full parameter space
-  const ltl::Formula property = ltl::G(ltl::atom(invariant));
-  SynthResult result;
-  // The witnesses travel through the reduction as outcomes, one per witness,
-  // so they are lifted (or the sweep redone) like any counterexample.
-  std::vector<CheckOutcome> witnesses = check_optimized(
-      ts, {&property, 1}, oo, deadline,
-      [&](const ts::TransitionSystem& system, std::span<const ltl::Formula> properties) {
-        result = sweep(system, ltl::invariant_atom(properties.front()));
-        std::vector<CheckOutcome> out(result.witnesses.size());
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          out[i].verdict = Verdict::kViolated;
-          out[i].counterexample = std::move(result.witnesses[i]);
-        }
-        return out;
-      });
-  for (std::size_t i = 0; i < witnesses.size(); ++i)
-    result.witnesses[i] = std::move(*witnesses[i].counterexample);
-  return result;
-}
-
 SynthResult synthesize_params(const ts::TransitionSystem& ts, Expr invariant,
                               const SynthOptions& options) {
-  return synthesize_optimized(
-      ts, invariant, options.deadline,
-      [&](const ts::TransitionSystem& system, Expr atom) {
-        return sweep_sequential(system, atom, options);
-      });
+  return synthesize_optimized(ts, invariant, options, sweep_sequential);
 }
 
 }  // namespace verdict::core

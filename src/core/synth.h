@@ -18,9 +18,15 @@
 // frame unrolling and simple-path constraints — which do not depend on the
 // candidate — are encoded once for the entire enumeration instead of once
 // per candidate (see enc::Unroller).
+//
+// Both drivers (this one and portfolio::synthesize_params_parallel) run their
+// sweep through core::synthesize_optimized (core/reduce.h): first on the
+// counting quotient with the parameters left symbolic, where every candidate
+// proven safe is final, then on the original system restricted to the
+// candidates the quotient left open, where every witness is a concrete trace
+// (docs/abstraction.md, "Synthesis on the quotient").
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/result.h"
@@ -58,25 +64,11 @@ struct SynthResult {
 };
 
 /// Classifies every parameter assignment of `ts` w.r.t. G(invariant).
-/// All parameters must be finite-domain. The sweep runs behind the opt/
-/// pipeline (see synthesize_optimized).
+/// All parameters must be finite-domain. The sweep runs in the reduction
+/// stage, on the counting quotient and then behind the optimizer
+/// (core::synthesize_optimized in core/reduce.h).
 [[nodiscard]] SynthResult synthesize_params(const ts::TransitionSystem& ts,
                                             expr::Expr invariant,
                                             const SynthOptions& options = {});
-
-/// A parameter sweep: classifies every parameter assignment of `ts` w.r.t.
-/// G(invariant), with one witness trace per unsafe assignment.
-using SynthSweep =
-    std::function<SynthResult(const ts::TransitionSystem& ts, expr::Expr invariant)>;
-
-/// Runs `sweep` behind the optimizer (core::check_optimized) with parameters
-/// kept rigid-symbolic: the sweep still enumerates the full parameter space,
-/// and only property-irrelevant state variables are folded or sliced away.
-/// Witness traces are lifted back; if any cannot be, the sweep reruns on the
-/// original system. Shared by the sequential and the parallel drivers.
-[[nodiscard]] SynthResult synthesize_optimized(const ts::TransitionSystem& ts,
-                                               expr::Expr invariant,
-                                               const util::Deadline& deadline,
-                                               const SynthSweep& sweep);
 
 }  // namespace verdict::core

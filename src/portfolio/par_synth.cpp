@@ -11,6 +11,7 @@
 #include "core/explicit.h"
 #include "core/kinduction.h"
 #include "core/pdr.h"
+#include "core/reduce.h"
 #include "portfolio/pool.h"
 #include "util/log.h"
 
@@ -251,10 +252,11 @@ SynthResult synthesize_params_parallel(const ts::TransitionSystem& ts, Expr inva
                                        const SynthOptions& options) {
   const std::size_t jobs = options.jobs == 0 ? default_jobs() : options.jobs;
   if (jobs <= 1) return core::synthesize_params(ts, invariant, options);
-  return core::synthesize_optimized(ts, invariant, options.deadline,
-                                    [&](const ts::TransitionSystem& system, Expr atom) {
-                                      return sweep_parallel(system, atom, options, jobs);
-                                    });
+  return core::synthesize_optimized(
+      ts, invariant, options,
+      [jobs](const ts::TransitionSystem& system, Expr atom, const SynthOptions& sweep) {
+        return sweep_parallel(system, atom, sweep, jobs);
+      });
 }
 
 }  // namespace verdict::portfolio

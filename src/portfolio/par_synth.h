@@ -19,7 +19,9 @@
 // unsafe / undecided partitions match modulo deadline races), and the
 // safe/unsafe/undecided vectors come back in candidate-enumeration order, so
 // output is deterministic for a fixed classification. Like the sequential
-// driver, the sweep runs behind the optimizer (core::synthesize_optimized).
+// driver, the sweep runs in the reduction stage (core::synthesize_optimized):
+// on the counting quotient first, then on the original system restricted to
+// the candidates the quotient did not prove safe.
 #pragma once
 
 #include "core/synth.h"

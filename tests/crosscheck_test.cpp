@@ -16,6 +16,7 @@
 #include "core/session.h"
 #include "core/synth.h"
 #include "ltl/trace_eval.h"
+#include "net/topology.h"
 #include "obs/trace.h"
 #include "portfolio/lemma_bus.h"
 #include "portfolio/par_synth.h"
@@ -473,6 +474,147 @@ TEST(SynthCrossCheck, ParallelMatchesSequentialBehindOptimizer) {
     std::string error;
     EXPECT_TRUE(ts.trace_conforms(witness, &error)) << error;
   }
+}
+
+// --- Synthesis on the counting quotient ------------------------------------
+//
+// Both drivers sweep the counting quotient first (parameters symbolic), keep
+// the candidates it proves safe, and re-sweep the rest on the original
+// system (docs/abstraction.md, "Synthesis on the quotient").
+
+std::uint64_t counter_value(const char* name) { return obs::counters_snapshot()[name]; }
+
+std::vector<std::int64_t> p_values(const std::vector<ts::State>& states, Expr p) {
+  std::vector<std::int64_t> out;
+  for (const ts::State& s : states) out.push_back(std::get<std::int64_t>(*s.get(p)));
+  return out;
+}
+
+/// Every witness is a trace of the ORIGINAL system that falsifies `property`.
+void expect_witnesses_replay(const ts::TransitionSystem& system, const ltl::Formula& property,
+                             const core::SynthResult& result) {
+  ASSERT_EQ(result.witnesses.size(), result.unsafe.size());
+  for (std::size_t i = 0; i < result.witnesses.size(); ++i) {
+    EXPECT_EQ(result.witnesses[i].params, result.unsafe[i]);
+    core::CheckOutcome outcome;
+    outcome.verdict = Verdict::kViolated;
+    outcome.counterexample = result.witnesses[i];
+    std::string error;
+    EXPECT_TRUE(core::confirm_counterexample(system, property, outcome, &error)) << error;
+  }
+}
+
+// §4.2 over the wider domain p in {1..4} (k = m = 1): the quotient proves
+// p = 1, 2, 3 and the concrete sweep finds p = 4's witness. Both provers,
+// both drivers, in enumeration order, identical across the drivers.
+TEST(SynthCrossCheck, QuotientSweepMatchesKnownBoundaryAcrossDrivers) {
+  scenarios::RolloutPartitionOptions options;
+  options.prefix = "qsyn";
+  options.max_p = 4;
+  const auto sc = scenarios::make_test_scenario(options);
+  ts::TransitionSystem system = sc.system;
+  system.add_param_constraint(expr::mk_eq(sc.k, expr::int_const(1)));
+  system.add_param_constraint(expr::mk_eq(sc.m, expr::int_const(1)));
+  system.add_param_constraint(expr::mk_le(expr::int_const(1), sc.p));
+  const Expr invariant = ltl::invariant_atom(sc.property);
+
+  for (const core::SynthProver prover : {core::SynthProver::kKInduction, core::SynthProver::kPdr}) {
+    SCOPED_TRACE(prover == core::SynthProver::kPdr ? "pdr" : "k-induction");
+    std::vector<core::SynthResult> results;
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(jobs);
+      core::SynthOptions synth;
+      synth.prover = prover;
+      synth.jobs = jobs;
+      synth.max_depth = 40;
+      const std::uint64_t collapsed = counter_value("abs.vars_collapsed");
+      results.push_back(jobs == 1 ? core::synthesize_params(system, invariant, synth)
+                                  : portfolio::synthesize_params_parallel(system, invariant,
+                                                                          synth));
+      const core::SynthResult& result = results.back();
+      EXPECT_GT(counter_value("abs.vars_collapsed"), collapsed) << "the quotient must engage";
+      EXPECT_TRUE(result.complete());
+      EXPECT_EQ(p_values(result.safe, sc.p), (std::vector<std::int64_t>{1, 2, 3}));
+      EXPECT_EQ(p_values(result.unsafe, sc.p), (std::vector<std::int64_t>{4}));
+      expect_witnesses_replay(system, sc.property, result);
+    }
+    EXPECT_EQ(results[0].safe, results[1].safe);
+    EXPECT_EQ(results[0].unsafe, results[1].unsafe);
+  }
+}
+
+// The CEGAR fixture of abs_test (Cegar.*): front-end F fans into R1, R2, R3;
+// service node A hangs off R1 only, B off R2 and R3. The links are
+// interchangeable for the system, so the quotient's threshold "at most B
+// links down" is too coarse for A: with one failure allowed the quotient
+// admits a violation the concrete system does not have.
+scenarios::RolloutPartitionScenario cegar_scenario(const std::string& prefix) {
+  net::Topology topo;
+  const net::NodeId f = topo.add_node("F");
+  const net::NodeId r1 = topo.add_node("R1");
+  const net::NodeId r2 = topo.add_node("R2");
+  const net::NodeId r3 = topo.add_node("R3");
+  const net::NodeId a = topo.add_node("A");
+  const net::NodeId b = topo.add_node("B");
+  topo.add_link(f, r1);
+  topo.add_link(f, r2);
+  topo.add_link(f, r3);
+  topo.add_link(r1, a);
+  topo.add_link(r2, b);
+  topo.add_link(r3, b);
+  scenarios::RolloutPartitionOptions options;
+  options.prefix = prefix;
+  return scenarios::make_rollout_partition(topo, f, {a, b}, options);
+}
+
+// A concretely safe candidate the quotient cannot prove falls back to the
+// concrete sweep, which classifies it safe. With p = 0, m = 1 synthesized
+// over k in {0, 1}: k = 0 is proven on the quotient, k = 1 gets a spurious
+// quotient violation and is decided safe concretely.
+TEST(SynthCrossCheck, QuotientUnprovenCandidateFallsBackToConcreteSweep) {
+  const auto sc = cegar_scenario("qsyn_cegar");
+  ts::TransitionSystem system = sc.system;
+  system.add_param_constraint(expr::mk_eq(sc.p, expr::int_const(0)));
+  system.add_param_constraint(expr::mk_eq(sc.m, expr::int_const(1)));
+  system.add_param_constraint(expr::mk_le(sc.k, expr::int_const(1)));
+  const Expr invariant = ltl::invariant_atom(sc.property);
+
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    core::SynthOptions synth;
+    synth.prover = core::SynthProver::kKInduction;
+    synth.jobs = jobs;
+    synth.max_depth = 40;
+    const std::uint64_t collapsed = counter_value("abs.vars_collapsed");
+    const auto result = portfolio::synthesize_params_parallel(system, invariant, synth);
+    EXPECT_GT(counter_value("abs.vars_collapsed"), collapsed);
+    EXPECT_TRUE(result.complete());
+    EXPECT_EQ(p_values(result.safe, sc.k), (std::vector<std::int64_t>{0, 1}));
+    EXPECT_TRUE(result.unsafe.empty());
+  }
+}
+
+// A replay prune on the quotient decides nothing: the quotient's spurious
+// witness for the first candidate also replays under the second, which the
+// model cannot tell apart (the parameter `spare` is read nowhere). Both are
+// concretely safe, and pruned_by_replay counts only concrete prunes.
+TEST(SynthCrossCheck, QuotientReplayPrunesAreNotCounted) {
+  const auto sc = cegar_scenario("qsyn_prune");
+  ts::TransitionSystem system = sc.system;
+  const Expr spare = expr::int_var("qsyn_prune_spare", 0, 1);
+  system.add_param(spare);
+  system.add_param_constraint(expr::mk_eq(sc.p, expr::int_const(0)));
+  system.add_param_constraint(expr::mk_eq(sc.k, expr::int_const(1)));
+  system.add_param_constraint(expr::mk_eq(sc.m, expr::int_const(1)));
+
+  core::SynthOptions synth;
+  synth.prover = core::SynthProver::kKInduction;
+  synth.max_depth = 40;
+  const auto result =
+      core::synthesize_params(system, ltl::invariant_atom(sc.property), synth);
+  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(p_values(result.safe, spare), (std::vector<std::int64_t>{0, 1}));
+  EXPECT_EQ(result.pruned_by_replay, 0u);
 }
 
 // --- Optimizer crosscheck ---------------------------------------------------

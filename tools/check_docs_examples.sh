@@ -183,8 +183,11 @@ while IFS="$(printf '\t')" read -r source cmd; do
           unregister_daemon "$sock"
           rm -f "$SANDBOX/$sock" "$sock" 2>/dev/null
           plain=${cmd%&}
-          (cd "$SANDBOX" && PATH="$SANDBOX/build/tools:$PATH" \
-             sh -c "$plain") > "$out" 2>&1 &
+          # Both execs matter: $! is the subshell's pid, and only if the
+          # subshell and then `sh -c` replace themselves is that pid the
+          # daemon's own, which kill_daemons can stop.
+          (cd "$SANDBOX" && export PATH="$SANDBOX/build/tools:$PATH" &&
+             exec sh -c "exec $plain") > "$out" 2>&1 &
           register_daemon $! "$sock"
           i=0
           while [ ! -S "$SANDBOX/$sock" ] && [ ! -S "$sock" ]; do
