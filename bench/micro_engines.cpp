@@ -1,7 +1,7 @@
 // Engine microbenchmarks and design-choice ablations (google-benchmark).
 //
 // Quantifies the ablations called out in DESIGN.md §5:
-//   - incremental vs monolithic BMC solving,
+//   - BMC cost by unrolling depth,
 //   - PDR vs k-induction on the same safe instance,
 //   - interleaved vs sequential BDD variable ordering,
 //   - expression interning / simplification throughput,
@@ -89,25 +89,11 @@ void BM_BmcIncremental(benchmark::State& state) {
   const Expr invariant = expr::mk_lt(x, expr::int_const(state.range(0)));
   for (auto _ : state) {
     core::BmcOptions options;
-    options.incremental = true;
     options.max_depth = static_cast<int>(state.range(0)) + 2;
     benchmark::DoNotOptimize(core::check_invariant_bmc(ts, invariant, options).verdict);
   }
 }
 BENCHMARK(BM_BmcIncremental)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_BmcMonolithic(benchmark::State& state) {
-  const auto ts = counter_system("micro_bmc_mono", state.range(0), 64);
-  const Expr x = expr::var_by_name("micro_bmc_mono_x");
-  const Expr invariant = expr::mk_lt(x, expr::int_const(state.range(0)));
-  for (auto _ : state) {
-    core::BmcOptions options;
-    options.incremental = false;
-    options.max_depth = static_cast<int>(state.range(0)) + 2;
-    benchmark::DoNotOptimize(core::check_invariant_bmc(ts, invariant, options).verdict);
-  }
-}
-BENCHMARK(BM_BmcMonolithic)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_ProofKInduction(benchmark::State& state) {
   const auto ts = counter_system("micro_kind", 10, 64);
@@ -388,7 +374,6 @@ void run_translate_memo_row(bench::JsonRows& rows) {
   auto timed = [&](bool memo) {
     smt::set_translate_memo(memo);
     core::BmcOptions options;
-    options.incremental = true;
     options.max_depth = 20;
     const double start = now_seconds();
     const auto outcome = core::check_invariant_bmc(system, invariant, options);

@@ -3,26 +3,18 @@
 // The paper's end state is verification inside the management plane,
 // invoked on every config push; what matters there is not one check's
 // latency but how many verification requests per second the service plane
-// sustains. This bench stands up three servers on Unix sockets and drives
-// each with closed-loop clients (every client: send request, wait for done,
-// repeat):
+// sustains. This bench stands up an in-process svc::Daemon (binary frames,
+// batched session dispatch: the production configuration) on a Unix socket
+// and drives it with closed-loop clients (every client: send request, wait
+// for done, repeat).
 //
-//   baseline   thread-per-connection NDJSON server replicating the
-//              pre-refactor daemon: one thread per accepted connection,
-//              model text re-parsed on EVERY request, one pool submission
-//              per property (no coalescing)
-//   ndjson     the real epoll svc::Daemon, NDJSON debug wire
-//   binary     the real epoll svc::Daemon, binary framing + batched
-//              session dispatch (the production configuration)
-//
-// For each server the client count is swept and the best sustained QPS is
-// its saturation throughput; per-request p50/p99 latency is reported at
-// every point. The workload is warm-cache (the same model pushed
-// repeatedly, every verdict served from the fingerprint cache) — the
-// deployment-loop steady state.
-//
-// Acceptance gate (exit code): binary+batched saturation QPS >= 4x the
-// thread-per-connection baseline, with verdicts identical everywhere.
+// The client count is swept and the best sustained QPS is the saturation
+// throughput; per-request p50/p99 latency is reported at every point. The
+// workload is warm-cache (the same model pushed repeatedly, every verdict
+// served from the fingerprint cache) — the deployment-loop steady state.
+// Exit code: every served verdict must match the in-process check. The
+// throughput figures are reported, not gated; verdict-bench's `svc_mix`
+// workload is the end-to-end latency measurement of the daemon.
 //
 // With `--shards N` the bench instead measures the sharded verdict store
 // (docs/sharding.md). The resource sharding multiplies is aggregate cache
@@ -34,21 +26,17 @@
 // `verdictc --shard-of` computes for the management plane), and drives each
 // shard with closed-loop clients cycling through its partition. A single
 // shard thrashes its LRU and re-verifies; the cluster serves warm hits.
-// Gate: aggregate warm-hit QPS at N shards >= 1.8x the 1-shard figure, and
-// verdicts through the router (which lands requests on arbitrary shards,
-// forcing PEER_GET fetches from ring owners) identical to direct submission.
-#include <sys/socket.h>
+// Gate: aggregate warm-hit QPS at N shards >= 1.8x the 1-shard figure, with
+// every verdict identical to the in-process check.
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,8 +48,6 @@
 #include "svc/client.h"
 #include "svc/daemon.h"
 #include "svc/fingerprint.h"
-#include "svc/peer.h"
-#include "svc/protocol.h"
 #include "svc/ring.h"
 #include "svc/service.h"
 
@@ -69,13 +55,12 @@ namespace {
 
 using namespace verdict;
 
-// The pushed "config": a model big enough that parsing it is real work —
-// which is exactly what the pre-refactor daemon did per request and the
-// epoll daemon's model cache amortizes. ~kModules independent bounded
-// counters plus two LTL bound properties that k-induction proves quickly.
+// The pushed "config": a model big enough that parsing it is real work,
+// which the daemon's model cache amortizes. kModules independent bounded
+// counters, followed by the given `ltl` declarations.
 constexpr int kModules = 48;
 
-std::string bench_model() {
+std::string counters_model(const std::string& ltl_lines) {
   std::string vml;
   for (int i = 0; i < kModules; ++i) {
     const std::string m = "m" + std::to_string(i);
@@ -87,163 +72,21 @@ std::string bench_model() {
     vml += "  stutter always;\n";
     vml += "}\n\n";
   }
-  vml += "system {\n";
-  vml += "  schedule interleaving;\n";
-  vml += "  ltl head_bounded \"G (m0.c <= 7)\";\n";
-  vml += "  ltl tail_bounded \"G (m" + std::to_string(kModules - 1) +
-         ".c <= 7)\";\n";
-  vml += "}\n";
-  return vml;
+  return vml + "system {\n  schedule interleaving;\n" + ltl_lines + "}\n";
+}
+
+// The throughput workload: two bound properties that k-induction proves
+// quickly.
+std::string bench_model() {
+  return counters_model("  ltl head_bounded \"G (m0.c <= 7)\";\n"
+                        "  ltl tail_bounded \"G (m" + std::to_string(kModules - 1) +
+                        ".c <= 7)\";\n");
 }
 
 const std::vector<std::string> kProps = {"head_bounded", "tail_bounded"};
 constexpr int kDepth = 5;
 
-// ---------------------------------------------------------------------------
-// Baseline: the pre-refactor daemon shape. One blocking accept loop, one
-// thread per connection, NDJSON lines, model parsed per request, one
-// Service submission per property (batching off — it did not exist).
-// ---------------------------------------------------------------------------
-class BaselineServer {
- public:
-  explicit BaselineServer(std::string socket_path)
-      : socket_path_(std::move(socket_path)) {
-    svc::ServiceOptions service_options;
-    service_options.jobs = 0;
-    service_options.batch_window_seconds = 0.0;  // pre-refactor: no batching
-    service_ = std::make_unique<svc::Service>(service_options);
-
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ::unlink(socket_path_.c_str());
-    if (listen_fd_ < 0 ||
-        ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 128) != 0)
-      throw std::runtime_error("baseline server: cannot listen on " + socket_path_);
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  ~BaselineServer() {
-    stopping_.store(true);
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    accept_thread_.join();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    for (std::thread& t : handlers_) t.join();
-    service_->drain();
-    ::unlink(socket_path_.c_str());
-  }
-
- private:
-  void accept_loop() {
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR && !stopping_.load()) continue;
-        return;  // listen socket shut down
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      conn_fds_.push_back(fd);
-      handlers_.emplace_back([this, fd] { handle_connection(fd); });
-    }
-  }
-
-  static bool send_all(int fd, std::string_view data) {
-    while (!data.empty()) {
-      const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      data.remove_prefix(static_cast<std::size_t>(n));
-    }
-    return true;
-  }
-
-  void handle_connection(int fd) {
-    std::string buffer;
-    char chunk[16384];
-    for (;;) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        break;
-      }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t newline;
-      while ((newline = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, newline);
-        buffer.erase(0, newline + 1);
-        if (!line.empty() && !handle_request(fd, line)) break;
-      }
-    }
-    ::close(fd);
-  }
-
-  bool handle_request(int fd, const std::string& line) {
-    const obs::JsonValue req = obs::parse_json(line);
-    const std::string id = req["id"].is_string() ? req["id"].string : "";
-    // Faithful to the old daemon: the model is parsed from scratch on every
-    // request — there was no model cache.
-    const mdl::VmlModel model = mdl::parse_vml(req["model"].string);
-    const int depth =
-        req["depth"].is_number() ? static_cast<int>(req["depth"].number) : 50;
-    core::Engine engine = core::Engine::kAuto;
-    if (req.has("engine"))
-      engine = svc::engine_from_name(req["engine"].string).value_or(engine);
-
-    std::vector<std::string> names;
-    if (req["props"].is_array())
-      for (const obs::JsonValue& p : req["props"].array) names.push_back(p.string);
-    else
-      for (const auto& [name, property] : model.ltl_properties) names.push_back(name);
-
-    std::vector<svc::PendingCheck> pending;
-    pending.reserve(names.size());
-    for (const std::string& name : names) {
-      svc::CheckRequest request;
-      request.system = &model.system;
-      request.property = model.ltl_properties.at(name);
-      request.engine = engine;
-      request.max_depth = depth;
-      pending.push_back(service_->submit(request));
-    }
-    std::size_t cache_hits = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const svc::CheckResponse response = pending[i].wait();
-      if (response.cache_hit) ++cache_hits;
-      svc::WireVerdict v;
-      v.prop = names[i];
-      v.verdict = response.outcome.verdict;
-      v.engine = response.outcome.stats.engine;
-      v.message = response.outcome.message;
-      v.cache_hit = response.cache_hit;
-      if (!send_all(fd, svc::wire_verdict_line(id, v) + "\n")) return false;
-    }
-    obs::JsonWriter w;
-    w.begin_object();
-    w.kv("type", "done");
-    w.kv("id", id);
-    w.kv("served", pending.size());
-    w.kv("cache_hits", cache_hits);
-    w.end_object();
-    return send_all(fd, w.str() + "\n");
-  }
-
-  std::string socket_path_;
-  std::unique_ptr<svc::Service> service_;
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> handlers_;
-};
+const svc::ClientOptions kClientOptions{.connect_wait_seconds = 5.0};
 
 // ---------------------------------------------------------------------------
 // Closed-loop load generation.
@@ -264,12 +107,13 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-// `socket_paths` carries one entry per shard; client c is pinned to shard
-// c % S, so a single-socket sweep is just the S=1 case.
-LoadPoint run_point(const std::vector<std::string>& socket_paths, bool binary,
-                    const std::string& model, std::size_t clients,
-                    double seconds,
-                    const std::vector<core::Verdict>& expected) {
+// Client c connects to `sockets[c % S]` and repeats `request(client, c, n)`
+// (n = that client's request count so far) until `seconds` pass. `request`
+// returns false on a verdict mismatch.
+using Request = std::function<bool(svc::Client&, std::size_t, std::size_t)>;
+
+LoadPoint run_point(const std::vector<std::string>& sockets, std::size_t clients,
+                    double seconds, const Request& request) {
   using Clock = std::chrono::steady_clock;
   LoadPoint point;
   point.clients = clients;
@@ -285,20 +129,12 @@ LoadPoint run_point(const std::vector<std::string>& socket_paths, bool binary,
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       try {
-        svc::ClientOptions options;
-        options.binary = binary;
-        options.connect_wait_seconds = 5.0;
-        svc::Client client(socket_paths[c % socket_paths.size()], options);
-        while (Clock::now() < stop_at) {
+        svc::Client client(sockets[c % sockets.size()], kClientOptions);
+        for (std::size_t n = 0; Clock::now() < stop_at; ++n) {
           const Clock::time_point t0 = Clock::now();
-          const std::vector<svc::ClientVerdict> verdicts =
-              client.check(model, kProps, core::Engine::kKInduction, kDepth, 0.0);
-          const double ms =
-              std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-          latencies[c].push_back(ms);
-          if (verdicts.size() != expected.size()) ok.store(false);
-          for (std::size_t i = 0; i < verdicts.size() && i < expected.size(); ++i)
-            if (verdicts[i].outcome.verdict != expected[i]) ok.store(false);
+          if (!request(client, c, n)) ok.store(false);
+          latencies[c].push_back(
+              std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
         }
       } catch (const std::exception& error) {
         std::fprintf(stderr, "client: %s\n", error.what());
@@ -321,81 +157,34 @@ LoadPoint run_point(const std::vector<std::string>& socket_paths, bool binary,
   return point;
 }
 
-struct ServerResult {
-  std::string name;
-  double saturation_qps = 0.0;
-  bool ok = true;
-  std::vector<LoadPoint> points;
-};
+void print_point(const std::string& label, const LoadPoint& point) {
+  std::printf("%-8s | %3zu clients | %8.0f QPS | p50 %7.3fms | p99 %7.3fms | %6zu reqs%s\n",
+              label.c_str(), point.clients, point.qps, point.p50_ms, point.p99_ms,
+              point.requests, point.verdicts_ok ? "" : "  VERDICT MISMATCH");
+}
 
-ServerResult sweep(const std::string& name, const std::string& socket_path,
-                   bool binary, const std::string& model,
-                   const std::vector<std::size_t>& client_counts,
-                   double seconds, const std::vector<core::Verdict>& expected,
-                   bench::JsonRows& rows) {
-  ServerResult result;
-  result.name = name;
-  // Warm-up: fill the verdict cache (and the daemon's model cache) and
-  // confirm the verdicts once before measuring.
-  {
-    svc::ClientOptions options;
-    options.binary = binary;
-    options.connect_wait_seconds = 5.0;
-    svc::Client client(socket_path, options);
-    const std::vector<svc::ClientVerdict> verdicts =
-        client.check(model, kProps, core::Engine::kKInduction, kDepth, 0.0);
-    if (verdicts.size() != expected.size()) result.ok = false;
-    for (std::size_t i = 0; i < verdicts.size() && i < expected.size(); ++i)
-      if (verdicts[i].outcome.verdict != expected[i]) result.ok = false;
-  }
-  for (const std::size_t clients : client_counts) {
-    const LoadPoint point =
-        run_point({socket_path}, binary, model, clients, seconds, expected);
-    result.ok = result.ok && point.verdicts_ok;
-    result.saturation_qps = std::max(result.saturation_qps, point.qps);
-    result.points.push_back(point);
-    std::printf("%-8s | %3zu clients | %8.0f QPS | p50 %7.3fms | p99 %7.3fms | %6zu reqs%s\n",
-                name.c_str(), point.clients, point.qps, point.p50_ms, point.p99_ms,
-                point.requests, point.verdicts_ok ? "" : "  VERDICT MISMATCH");
-    rows.row([&](obs::JsonWriter& w) {
-      w.kv("server", name);
-      w.kv("clients", point.clients);
-      w.kv("qps", point.qps);
-      w.kv("p50_ms", point.p50_ms);
-      w.kv("p99_ms", point.p99_ms);
-      w.kv("requests", point.requests);
-      w.kv("verdicts_ok", point.verdicts_ok);
-    });
-  }
-  return result;
+void point_fields(obs::JsonWriter& w, const LoadPoint& point) {
+  w.kv("clients", point.clients);
+  w.kv("qps", point.qps);
+  w.kv("p50_ms", point.p50_ms);
+  w.kv("p99_ms", point.p99_ms);
+  w.kv("requests", point.requests);
+  w.kv("verdicts_ok", point.verdicts_ok);
 }
 
 // ---------------------------------------------------------------------------
 // Sharded verdict store (`--shards N`): aggregate warm-hit QPS, S in {1, N}.
 // ---------------------------------------------------------------------------
 
-// The sharding workload: the same kModules bounded counters, but one LTL
-// property PER module — kModules distinct request fingerprints, which is the
-// working set the cluster's aggregate cache must hold.
+// The sharding workload: one LTL property PER module — kModules distinct
+// request fingerprints, which is the working set the cluster's aggregate
+// cache must hold.
 std::string shard_model() {
-  std::string vml;
-  for (int i = 0; i < kModules; ++i) {
-    const std::string m = "m" + std::to_string(i);
-    vml += "module " + m + " {\n";
-    vml += "  var c : 0..7;\n";
-    vml += "  init c = 0;\n";
-    vml += "  rule up when c < 7 { c' = c + 1; }\n";
-    vml += "  rule reset when c = 7 { c' = 0; }\n";
-    vml += "  stutter always;\n";
-    vml += "}\n\n";
-  }
-  vml += "system {\n";
-  vml += "  schedule interleaving;\n";
+  std::string ltl_lines;
   for (int i = 0; i < kModules; ++i)
-    vml += "  ltl m" + std::to_string(i) + "_bounded \"G (m" + std::to_string(i) +
-           ".c <= 7)\";\n";
-  vml += "}\n";
-  return vml;
+    ltl_lines += "  ltl m" + std::to_string(i) + "_bounded \"G (m" + std::to_string(i) +
+                 ".c <= 7)\";\n";
+  return counters_model(ltl_lines);
 }
 
 // Per-daemon LRU budget for the sharding phases. The working set is kModules
@@ -461,10 +250,7 @@ bool warm_shards(const std::vector<std::string>& sockets, const std::string& mod
                  const std::map<std::string, core::Verdict>& expected) {
   for (std::size_t s = 0; s < sockets.size(); ++s) {
     if (parts[s].empty()) continue;
-    svc::ClientOptions options;
-    options.binary = true;
-    options.connect_wait_seconds = 5.0;
-    svc::Client client(sockets[s], options);
+    svc::Client client(sockets[s], kClientOptions);
     const std::vector<svc::ClientVerdict> verdicts =
         client.check(model, parts[s], core::Engine::kKInduction, kDepth, 0.0);
     if (verdicts.size() != parts[s].size()) return false;
@@ -474,67 +260,6 @@ bool warm_shards(const std::vector<std::string>& sockets, const std::string& mod
   return true;
 }
 
-// Closed-loop load where client c is pinned to shard c % S and cycles
-// through that shard's property partition, one property per request.
-LoadPoint run_cluster_point(const std::vector<std::string>& sockets,
-                            const std::string& model,
-                            const std::vector<std::vector<std::string>>& parts,
-                            std::size_t clients, double seconds,
-                            const std::map<std::string, core::Verdict>& expected) {
-  using Clock = std::chrono::steady_clock;
-  LoadPoint point;
-  point.clients = clients;
-  std::vector<std::vector<double>> latencies(clients);
-  std::atomic<bool> ok{true};
-  const Clock::time_point stop_at =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(seconds));
-
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  const Clock::time_point start = Clock::now();
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      const std::vector<std::string>& mine = parts[c % sockets.size()];
-      if (mine.empty()) return;
-      try {
-        svc::ClientOptions options;
-        options.binary = true;
-        options.connect_wait_seconds = 5.0;
-        svc::Client client(sockets[c % sockets.size()], options);
-        std::size_t next = c / sockets.size();  // desync clients on one shard
-        while (Clock::now() < stop_at) {
-          const std::string& prop = mine[next++ % mine.size()];
-          const Clock::time_point t0 = Clock::now();
-          const std::vector<svc::ClientVerdict> verdicts =
-              client.check(model, {prop}, core::Engine::kKInduction, kDepth, 0.0);
-          const double ms =
-              std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-          latencies[c].push_back(ms);
-          if (verdicts.size() != 1 ||
-              verdicts[0].outcome.verdict != expected.at(prop))
-            ok.store(false);
-        }
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "client: %s\n", error.what());
-        ok.store(false);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-
-  std::vector<double> merged;
-  for (const std::vector<double>& per_client : latencies)
-    merged.insert(merged.end(), per_client.begin(), per_client.end());
-  std::sort(merged.begin(), merged.end());
-  point.requests = merged.size();
-  point.qps = elapsed > 0 ? static_cast<double>(merged.size()) / elapsed : 0.0;
-  point.p50_ms = percentile(merged, 0.50);
-  point.p99_ms = percentile(merged, 0.99);
-  point.verdicts_ok = ok.load();
-  return point;
-}
 
 int run_shard_mode(std::size_t shards) {
   bench::header("Sharded verdict store — aggregate warm-hit QPS vs shard count");
@@ -574,7 +299,6 @@ int run_shard_mode(std::size_t shards) {
   bench::JsonRows rows("svc_throughput_shards");
 
   bool verdicts_ok = true;
-  bool router_ok = true;
   double qps_by_count[2] = {0.0, 0.0};
   const std::size_t counts[2] = {1, shards};
   for (int phase = 0; phase < 2; ++phase) {
@@ -588,61 +312,32 @@ int run_shard_mode(std::size_t shards) {
     const std::vector<std::vector<std::string>> parts =
         partition_by_ring(parsed, cluster.sockets());
     verdicts_ok = warm_shards(cluster.sockets(), model, parts, expected) && verdicts_ok;
-    const LoadPoint point =
-        run_cluster_point(cluster.sockets(), model, parts, clients, seconds, expected);
+    // Client c is pinned to the c-th shard (mod S) that owns any property and
+    // cycles through that shard's partition, one property per request.
+    std::vector<std::string> sockets;
+    std::vector<const std::vector<std::string>*> owned;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (parts[i].empty()) continue;
+      sockets.push_back(cluster.sockets()[i]);
+      owned.push_back(&parts[i]);
+    }
+    const LoadPoint point = run_point(
+        sockets, clients, seconds,
+        [&](svc::Client& client, std::size_t c, std::size_t n) {
+          const std::vector<std::string>& mine = *owned[c % owned.size()];
+          // Offset by c / S to desync clients on one shard.
+          const std::string& prop = mine[(c / owned.size() + n) % mine.size()];
+          const std::vector<svc::ClientVerdict> verdicts =
+              client.check(model, {prop}, core::Engine::kKInduction, kDepth, 0.0);
+          return verdicts.size() == 1 && verdicts[0].outcome.verdict == expected.at(prop);
+        });
     verdicts_ok = verdicts_ok && point.verdicts_ok;
     qps_by_count[phase] = point.qps;
-    std::printf("%-8zu | %3zu clients | %8.0f QPS | p50 %7.3fms | p99 %7.3fms | %6zu reqs%s\n",
-                s, point.clients, point.qps, point.p50_ms, point.p99_ms,
-                point.requests, point.verdicts_ok ? "" : "  VERDICT MISMATCH");
+    print_point(std::to_string(s), point);
     rows.row([&](obs::JsonWriter& w) {
       w.kv("shards", s);
-      w.kv("clients", point.clients);
-      w.kv("qps", point.qps);
-      w.kv("p50_ms", point.p50_ms);
-      w.kv("p99_ms", point.p99_ms);
-      w.kv("requests", point.requests);
-      w.kv("verdicts_ok", point.verdicts_ok);
+      point_fields(w, point);
     });
-
-    // Router parity, on the still-warm N-shard cluster: the router lands
-    // connections on arbitrary shards, so most lookups cross the peer tier —
-    // the verdicts must still be identical to direct shard submission.
-    if (phase == 1) {
-      svc::RouterOptions router_options;
-      router_options.socket_path = phase_dir + "/router.sock";
-      router_options.backends = cluster.sockets();
-      svc::Router router(router_options);
-      std::thread router_thread([&router] { router.serve(); });
-      try {
-        svc::ClientOptions client_options;
-        client_options.binary = true;
-        client_options.connect_wait_seconds = 5.0;
-        // Fresh connection per round so round-robin dialing crosses every
-        // backend; every property through every backend once.
-        for (std::size_t round = 0; round < shards && router_ok; ++round) {
-          svc::Client client(router_options.socket_path, client_options);
-          for (const auto& [name, verdict] : expected) {
-            const std::vector<svc::ClientVerdict> routed =
-                client.check(model, {name}, core::Engine::kKInduction, kDepth, 0.0);
-            if (routed.size() != 1 || routed[0].outcome.verdict != verdict) {
-              router_ok = false;
-              break;
-            }
-          }
-        }
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "router client: %s\n", error.what());
-        router_ok = false;
-      }
-      router.request_stop();
-      router_thread.join();
-      std::printf("router parity: %s (%llu connection(s) routed across %zu shards)\n",
-                  router_ok ? "ok" : "MISMATCH",
-                  static_cast<unsigned long long>(router.connections_routed()),
-                  shards);
-      ::unlink(router_options.socket_path.c_str());
-    }
   }
 
   const double scaling =
@@ -659,17 +354,15 @@ int run_shard_mode(std::size_t shards) {
     w.kv("sharded_qps", qps_by_count[1]);
     w.kv("scaling", scaling);
     w.kv("verdicts_ok", verdicts_ok);
-    w.kv("router_ok", router_ok);
   });
   if (!verdicts_ok) std::printf("FAILED: verdict mismatch against in-process check\n");
-  if (!router_ok) std::printf("FAILED: routed verdicts differ from direct submission\n");
   if (!fast_enough)
     std::printf("FAILED: %zu-shard aggregate QPS below 1.8x the single-shard figure\n",
                 shards);
   for (const std::string& sub : {std::string("/s1"), "/s" + std::to_string(shards)})
     ::rmdir((dir + sub).c_str());
   ::rmdir(sock_dir);
-  return verdicts_ok && router_ok && fast_enough ? 0 : 1;
+  return verdicts_ok && fast_enough ? 0 : 1;
 }
 
 }  // namespace
@@ -702,6 +395,12 @@ int main(int argc, char** argv) {
                                    {.engine = core::Engine::kKInduction,
                                     .max_depth = kDepth})
                            .verdict);
+  const auto matches = [&](const std::vector<svc::ClientVerdict>& verdicts) {
+    if (verdicts.size() != expected.size()) return false;
+    for (std::size_t i = 0; i < verdicts.size(); ++i)
+      if (verdicts[i].outcome.verdict != expected[i]) return false;
+    return true;
+  };
 
   std::vector<std::size_t> client_counts = {4, 16, 32};
   double seconds = 1.5;
@@ -718,61 +417,60 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mkdtemp failed\n");
     return 1;
   }
-  const std::string dir(sock_dir);
   bench::JsonRows rows("svc_throughput");
   std::printf("\n%-8s | %11s | %12s | %11s | %11s | %s\n", "server", "load",
               "throughput", "p50", "p99", "volume");
 
-  // Baseline: thread-per-connection, NDJSON, no batching, per-request parse.
-  ServerResult baseline;
-  {
-    BaselineServer server(dir + "/baseline.sock");
-    baseline = sweep("baseline", dir + "/baseline.sock", /*binary=*/false, model,
-                     client_counts, seconds, expected, rows);
-  }
-
-  // The epoll daemon, NDJSON debug wire and binary+batched production wire.
   svc::DaemonOptions options;
-  options.socket_path = dir + "/verdictd.sock";
+  options.socket_path = std::string(sock_dir) + "/verdictd.sock";
   options.service.jobs = 0;
   options.service.batch_window_seconds = 0.002;
   options.service.batch_max = 32;
   svc::Daemon daemon(options);
   std::thread server_thread([&] { daemon.serve(); });
-  const ServerResult ndjson = sweep("ndjson", options.socket_path, /*binary=*/false,
-                                    model, client_counts, seconds, expected, rows);
-  const ServerResult binary = sweep("binary", options.socket_path, /*binary=*/true,
-                                    model, client_counts, seconds, expected, rows);
+
+  // Warm-up: fill the verdict cache (and the daemon's model cache) and
+  // confirm the verdicts once before measuring.
+  bool verdicts_ok = false;
+  try {
+    svc::Client client(options.socket_path, kClientOptions);
+    verdicts_ok =
+        matches(client.check(model, kProps, core::Engine::kKInduction, kDepth, 0.0));
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "client: %s\n", error.what());
+  }
+  double saturation_qps = 0.0;
+  for (const std::size_t clients : client_counts) {
+    const LoadPoint point = run_point(
+        {options.socket_path}, clients, seconds,
+        [&](svc::Client& client, std::size_t, std::size_t) {
+          return matches(client.check(model, kProps, core::Engine::kKInduction, kDepth, 0.0));
+        });
+    verdicts_ok = verdicts_ok && point.verdicts_ok;
+    saturation_qps = std::max(saturation_qps, point.qps);
+    print_point("verdictd", point);
+    rows.row([&](obs::JsonWriter& w) {
+      w.kv("server", "verdictd");
+      point_fields(w, point);
+    });
+  }
   const std::uint64_t batches = daemon.service().batches_formed();
   const std::uint64_t batched = daemon.service().batched_requests();
   daemon.request_stop();
   server_thread.join();
   ::rmdir(sock_dir);
 
-  const double speedup =
-      baseline.saturation_qps > 0 ? binary.saturation_qps / baseline.saturation_qps : 0.0;
-  const bool verdicts_ok = baseline.ok && ndjson.ok && binary.ok;
-  const bool fast_enough = speedup >= 4.0;
-  std::printf("\nsaturation: baseline %.0f QPS, epoll+ndjson %.0f QPS, "
-              "epoll+binary+batched %.0f QPS (%.1fx baseline, target >= 4x)\n",
-              baseline.saturation_qps, ndjson.saturation_qps, binary.saturation_qps,
-              speedup);
+  std::printf("\nsaturation: %.0f QPS\n", saturation_qps);
   std::printf("batches formed: %llu (%.1f requests/batch)\n",
               static_cast<unsigned long long>(batches),
               batches > 0 ? static_cast<double>(batched) / static_cast<double>(batches)
                           : 0.0);
   rows.row([&](obs::JsonWriter& w) {
     w.kv("summary", true);
-    w.kv("baseline_qps", baseline.saturation_qps);
-    w.kv("ndjson_qps", ndjson.saturation_qps);
-    w.kv("binary_qps", binary.saturation_qps);
-    w.kv("speedup", speedup);
+    w.kv("saturation_qps", saturation_qps);
     w.kv("batches_formed", batches);
     w.kv("verdicts_ok", verdicts_ok);
   });
   if (!verdicts_ok) std::printf("FAILED: verdict mismatch against in-process check\n");
-  if (!fast_enough)
-    std::printf("FAILED: binary+batched saturation below 4x the thread-per-connection "
-                "baseline\n");
-  return verdicts_ok && fast_enough ? 0 : 1;
+  return verdicts_ok ? 0 : 1;
 }

@@ -10,10 +10,12 @@ namespace verdict::core {
 
 using expr::Expr;
 
-namespace {
+CheckOutcome check_invariant_bmc(const ts::TransitionSystem& ts, Expr invariant,
+                                 const BmcOptions& options) {
+  if (!invariant.valid() || !invariant.type().is_bool())
+    throw std::invalid_argument("check_invariant_bmc: invariant must be boolean");
+  ts.validate();
 
-CheckOutcome run_incremental(const ts::TransitionSystem& ts, Expr invariant,
-                             const BmcOptions& options) {
   CheckOutcome outcome;
   EngineRun run(outcome, "bmc");
 
@@ -49,48 +51,6 @@ CheckOutcome run_incremental(const ts::TransitionSystem& ts, Expr invariant,
                          "solver returned unknown at depth " + std::to_string(k));
   }
   return run.finish(Verdict::kBoundReached);
-}
-
-CheckOutcome run_monolithic(const ts::TransitionSystem& ts, Expr invariant,
-                            const BmcOptions& options) {
-  // Ablation variant: rebuilds the solver and re-asserts the whole unrolling
-  // at every depth. Same verdicts, strictly more work.
-  CheckOutcome outcome;
-  EngineRun run(outcome, "bmc-monolithic");
-
-  for (int k = 0; k <= options.max_depth; ++k) {
-    if (options.deadline.expired_or_cancelled())
-      return run.finish(Verdict::kTimeout,
-                        "deadline expired before depth " + std::to_string(k));
-    smt::Solver solver;
-    enc::Unroller unroller(solver, ts);
-    unroller.ensure_frames(k);
-    solver.add(expr::mk_not(invariant), k);
-    const smt::CheckResult r = solver.check(options.deadline);
-    run.note_depth(k);
-    if (r == smt::CheckResult::kSat) {
-      solver.refine_real_model(ts.params(), 0, options.deadline);
-      outcome.counterexample = extract_trace(solver, ts, k);
-      run.note_finished_solver(solver);
-      return run.finish(Verdict::kViolated);
-    }
-    run.note_finished_solver(solver);
-    if (r == smt::CheckResult::kUnknown)
-      return run.give_up(options.deadline,
-                         "solver returned unknown at depth " + std::to_string(k));
-  }
-  return run.finish(Verdict::kBoundReached);
-}
-
-}  // namespace
-
-CheckOutcome check_invariant_bmc(const ts::TransitionSystem& ts, Expr invariant,
-                                 const BmcOptions& options) {
-  if (!invariant.valid() || !invariant.type().is_bool())
-    throw std::invalid_argument("check_invariant_bmc: invariant must be boolean");
-  ts.validate();
-  return options.incremental ? run_incremental(ts, invariant, options)
-                             : run_monolithic(ts, invariant, options);
 }
 
 }  // namespace verdict::core

@@ -23,13 +23,10 @@ namespace verdict::core {
 struct BmcOptions {
   int max_depth = 50;
   util::Deadline deadline = util::Deadline::never();
-  /// When false, a fresh solver is built per depth instead of reusing one
-  /// incrementally (exists to quantify the benefit; see bench/micro_engines).
-  bool incremental = true;
   /// When set, reachability-invariant clauses published by other portfolio
   /// lanes are asserted at every unrolled frame as they arrive. Sound: the
   /// verdict and depth are bit-identical to an isolated run (see
-  /// portfolio/lemma_bus.h). Incremental mode only.
+  /// portfolio/lemma_bus.h).
   portfolio::LemmaBus* lemma_bus = nullptr;
 };
 

@@ -5,9 +5,8 @@
 // timeout `break` path of the old BMC loop reported different numbers than
 // its early returns). EngineRun is the one place those fields are written:
 // engines register the solvers they keep alive with track() (counters are
-// read at finish time), fold in short-lived per-depth solvers with
-// note_finished_solver() before destroying them, and leave through finish()
-// or give_up() on every path — success, bound, timeout, and unknown alike.
+// read at finish time) and leave through finish() or give_up() on every
+// path — success, bound, timeout, and unknown alike.
 #pragma once
 
 #include <stdexcept>
@@ -35,15 +34,6 @@ class EngineRun {
   /// check/assertion counters are folded into the stats on exit.
   void track(const smt::Solver& solver) { tracked_.push_back(&solver); }
 
-  /// Folds the counters of a solver about to be destroyed (per-depth
-  /// rebuild loops) into the stats.
-  void note_finished_solver(const smt::Solver& solver) {
-    checks_ += solver.num_checks();
-    assertions_ += solver.num_assertions();
-    solver_seconds_ += solver.check_seconds();
-    ++solvers_;
-  }
-
   /// Records exploration progress (unroll depth / induction k / frame).
   void note_depth(int depth) { outcome_.stats.depth_reached = depth; }
 
@@ -53,10 +43,10 @@ class EngineRun {
     outcome_.verdict = verdict;
     if (!message.empty()) outcome_.message = std::move(message);
     outcome_.stats.seconds = watch_.elapsed_seconds();
-    outcome_.stats.solver_checks = checks_;
-    outcome_.stats.frame_assertions = assertions_;
-    outcome_.stats.solvers_created = solvers_ + tracked_.size();
-    outcome_.stats.solver_seconds = solver_seconds_;
+    outcome_.stats.solver_checks = 0;
+    outcome_.stats.frame_assertions = 0;
+    outcome_.stats.solvers_created = tracked_.size();
+    outcome_.stats.solver_seconds = 0.0;
     for (const smt::Solver* s : tracked_) {
       outcome_.stats.solver_checks += s->num_checks();
       outcome_.stats.frame_assertions += s->num_assertions();
@@ -86,10 +76,6 @@ class EngineRun {
   CheckOutcome& outcome_;
   util::Stopwatch watch_;
   std::vector<const smt::Solver*> tracked_;
-  std::size_t checks_ = 0;
-  std::size_t assertions_ = 0;
-  std::size_t solvers_ = 0;
-  double solver_seconds_ = 0.0;
 };
 
 /// The trace of frames 0..depth in the solver's current model.

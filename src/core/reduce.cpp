@@ -229,8 +229,12 @@ SynthResult synthesize_optimized(const ts::TransitionSystem& ts, expr::Expr inva
     ao.deadline = options.deadline;
     if (const std::optional<abs::Abstraction> quotient = abs::abstract_system(ts, property, ao)) {
       // The split check_quotient uses: an undecided quotient leaves the
-      // concrete sweep its budget.
+      // concrete sweep its budget. And its prover rule: the quotient is swept
+      // with k-induction whatever the caller asked for, because PDR's cube
+      // generalization enumerates counter values (docs/abstraction.md). The
+      // concrete sweep below keeps the caller's prover.
       SynthOptions inner = options;
+      inner.prover = SynthProver::kKInduction;
       inner.per_candidate_seconds = options.per_candidate_seconds / 2;
       if (options.deadline.is_finite())
         inner.deadline = options.deadline.clipped_to(options.deadline.remaining_seconds() / 2);

@@ -64,13 +64,14 @@ using SynthSweep = std::function<SynthResult(
 
 /// Parameter synthesis in two sweeps, each behind check_optimized with the
 /// parameters kept rigid-symbolic. (1) One counting quotient of `ts` is built
-/// with the parameters left symbolic and swept with half the remaining
-/// deadline and half the per-candidate budget: a candidate proven safe there
-/// is final, because the quotient under each assignment simulates `ts` under
-/// that assignment. (2) The candidates it leaves unsafe or undecided are
-/// swept on `ts` restricted to them by one parameter constraint, so every
-/// witness is a concrete trace, lifted back like any counterexample (or the
-/// sweep redone if one does not lift). Without a quotient, (2) sweeps every
+/// with the parameters left symbolic and swept by k-induction (whatever
+/// `options.prover` says, as check_quotient maps kAuto) with half the
+/// remaining deadline and half the per-candidate budget: a candidate proven
+/// safe there is final, because the quotient under each assignment simulates
+/// `ts` under that assignment. (2) The candidates it leaves unsafe or
+/// undecided are swept with `options.prover` on `ts` restricted to them by
+/// one parameter constraint, so every witness is a concrete trace, lifted
+/// back like any counterexample (or the sweep redone if one does not lift). Without a quotient, (2) sweeps every
 /// candidate. Lists come out in enumeration order; pruned_by_replay counts
 /// only (2)'s prunes. Shared by the sequential and the parallel drivers.
 [[nodiscard]] SynthResult synthesize_optimized(const ts::TransitionSystem& ts,

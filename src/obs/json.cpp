@@ -227,7 +227,21 @@ class Parser {
     }
   }
 
+  // Containers nest at most this deep, so a peer's "[[[[..." ends in an
+  // error instead of a stack overflow.
+  static constexpr int kMaxNesting = 256;
+
   JsonValue parse_value() {
+    if (++nesting_ > kMaxNesting)
+      throw std::invalid_argument("json: nesting deeper than " +
+                                  std::to_string(kMaxNesting) + " at offset " +
+                                  std::to_string(pos_));
+    JsonValue v = parse_unnested_value();
+    --nesting_;
+    return v;
+  }
+
+  JsonValue parse_unnested_value() {
     const char c = peek();
     JsonValue v;
     if (c == '{') {
@@ -292,6 +306,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;
 };
 
 const JsonValue kNullValue{};

@@ -102,29 +102,17 @@ std::string Client::read_chunk() {
 }
 
 std::string Client::read_message() {
-  if (options_.binary) {
-    for (;;) {
-      FrameDecoder::Result result = decoder_.next();
-      if (result.status == FrameDecoder::Status::kError)
-        throw std::runtime_error("verdictc: bad frame from verdictd: " + result.error);
-      if (result.status == FrameDecoder::Status::kFrame) {
-        if (result.frame.type == FrameType::kRequest)
-          throw std::runtime_error(
-              "verdictc: request frame from verdictd (server/client roles reversed?)");
-        return std::move(result.frame.payload);
-      }
-      decoder_.feed(read_chunk());
-    }
-  }
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (line.empty()) continue;
-      return line;
+    FrameDecoder::Result result = decoder_.next();
+    if (result.status == FrameDecoder::Status::kError)
+      throw std::runtime_error("verdictc: bad frame from verdictd: " + result.error);
+    if (result.status == FrameDecoder::Status::kFrame) {
+      if (result.frame.type == FrameType::kRequest)
+        throw std::runtime_error(
+            "verdictc: request frame from verdictd (server/client roles reversed?)");
+      return std::move(result.frame.payload);
     }
-    buffer_.append(read_chunk());
+    decoder_.feed(read_chunk());
   }
 }
 
@@ -151,10 +139,7 @@ std::vector<ClientVerdict> Client::check(const std::string& model_text,
   if (!abstract) w.kv("abstract", false);
   w.end_object();
 
-  if (options_.binary)
-    send_all(encode_frame(FrameType::kRequest, w.str()));
-  else
-    send_all(w.str() + "\n");
+  send_all(encode_frame(FrameType::kRequest, w.str()));
 
   std::vector<ClientVerdict> verdicts;
   for (;;) {

@@ -1,10 +1,8 @@
 // Client side of the verdictd protocol (`verdictc --connect SOCK`).
 //
 // One Client is one connection; check() sends a single request and blocks
-// until the server's "done" message. Both wire modes are supported — the
-// NDJSON debug mode and the length-prefixed binary framing (svc/frame.h,
-// ClientOptions::binary; the payloads are identical JSON either way). The
-// caller is expected to have parsed the SAME model text locally (verdictc
+// until the server's "done" message, over the length-prefixed binary
+// framing (svc/frame.h). The caller is expected to have parsed the SAME model text locally (verdictc
 // always does — it needs the parse for --list, CTL properties, and
 // counterexample confirmation): the server ships counterexamples as
 // name-keyed JSON and this client rehydrates them into ts::Trace values
@@ -31,9 +29,6 @@ struct ClientVerdict {
 };
 
 struct ClientOptions {
-  /// Speak the binary framing instead of NDJSON. Same payloads, cheaper
-  /// transport; the daemon auto-detects per connection.
-  bool binary = false;
   /// Keep retrying connect() with exponential backoff (10ms doubling to
   /// 320ms) on ECONNREFUSED/ENOENT for this long before giving up — covers
   /// the "verdictd is still starting" window without sleep-and-hope in
@@ -72,13 +67,12 @@ class Client {
  private:
   int fd_ = -1;
   ClientOptions options_;
-  std::string buffer_;    // NDJSON: bytes not yet consumed as lines
-  FrameDecoder decoder_;  // binary: incremental frame parser
+  FrameDecoder decoder_;
   std::uint64_t next_id_ = 1;
 
   void send_all(std::string_view data);
   [[nodiscard]] std::string read_chunk();  // one recv(), throws on EOF/error
-  /// Next response payload (one JSON object text) in either wire mode.
+  /// Next response frame's payload (one JSON object text).
   [[nodiscard]] std::string read_message();
 };
 

@@ -49,13 +49,6 @@ std::string error_json(const std::string& id, const std::string& message) {
   return w.str();
 }
 
-std::string request_id(const obs::JsonValue& req) {
-  const obs::JsonValue& id = req["id"];
-  if (id.is_string()) return id.string;
-  if (id.is_number()) return obs::json_number(id.number);
-  return "";
-}
-
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -64,11 +57,6 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 struct Daemon::Impl {
-  // How a connection speaks, decided by its first byte: 0x56 'V' opens a
-  // binary frame (no JSON object can start with 'V'), anything else is the
-  // NDJSON debug mode.
-  enum class Wire { kUnknown, kNdjson, kBinary };
-
   struct Conn;
 
   // One inbound request being served: the parsed model (shared with the
@@ -92,9 +80,7 @@ struct Daemon::Impl {
     explicit Conn(std::size_t max_message) : decoder(max_message) {}
 
     int fd = -1;
-    Wire wire = Wire::kUnknown;
-    FrameDecoder decoder;      // binary mode
-    std::string line_buffer;   // NDJSON mode
+    FrameDecoder decoder;
     std::string outbuf;        // unsent response bytes
     std::size_t out_off = 0;   // sent prefix of outbuf
     bool want_read = true;     // false while over the write watermark
@@ -141,7 +127,7 @@ struct Daemon::Impl {
   void protocol_error(Conn& conn, const std::string& id, const std::string& message);
   void process_request(Conn& conn, const std::string& payload);
   void serve_peer_get(Conn& conn, const std::string& payload);
-  void serve_peer_put(Conn& conn, const std::string& payload);
+  void serve_peer_put(const std::string& payload);
   void drain_completions();
   // allow_close=false when called under a caller that still holds a
   // reference to the Conn (process_request inside the read path) — the
@@ -358,19 +344,7 @@ void Daemon::Impl::on_readable(Conn& conn) {
       conn.peer_gone = true;
       break;
     }
-    const char* data = chunk;
-    std::size_t len = static_cast<std::size_t>(n);
-    if (conn.wire == Wire::kUnknown) {
-      conn.wire = (data[0] == kFrameMagic0) ? Wire::kBinary : Wire::kNdjson;
-      if (obs::TraceSink* s = obs::sink())
-        s->event("svc.wire_detected")
-            .attr("mode", conn.wire == Wire::kBinary ? "binary" : "ndjson")
-            .emit();
-    }
-    if (conn.wire == Wire::kBinary)
-      conn.decoder.feed(data, len);
-    else
-      conn.line_buffer.append(data, len);
+    conn.decoder.feed(chunk, static_cast<std::size_t>(n));
     consume(conn);
     if (conn.poisoned || conn.dead) return;
     // Backpressure: past the high watermark, stop reading (and therefore
@@ -383,60 +357,34 @@ void Daemon::Impl::on_readable(Conn& conn) {
 }
 
 void Daemon::Impl::consume(Conn& conn) {
-  if (conn.wire == Wire::kBinary) {
-    for (;;) {
-      FrameDecoder::Result result = conn.decoder.next();
-      if (result.status == FrameDecoder::Status::kNeedMore) return;
-      if (result.status == FrameDecoder::Status::kError) {
-        protocol_error(conn, "", result.error);
-        return;
-      }
-      if (result.frame.type == FrameType::kPeerGet) {
+  // A framing error (bad magic — e.g. a JSON line instead of a frame —
+  // version skew, unknown type, oversized length) was already counted in
+  // `svc.frames_rejected` by the decoder; answer it and close.
+  for (;;) {
+    FrameDecoder::Result result = conn.decoder.next();
+    if (result.status == FrameDecoder::Status::kNeedMore) return;
+    if (result.status == FrameDecoder::Status::kError) {
+      protocol_error(conn, "", result.error);
+      return;
+    }
+    switch (result.frame.type) {
+      case FrameType::kRequest:
+        process_request(conn, result.frame.payload);
+        break;
+      case FrameType::kPeerGet:
         serve_peer_get(conn, result.frame.payload);
-        if (conn.poisoned || conn.dead) return;
-        continue;
-      }
-      if (result.frame.type == FrameType::kPeerPut) {
-        serve_peer_put(conn, result.frame.payload);
-        if (conn.poisoned || conn.dead) return;
-        continue;
-      }
-      if (result.frame.type != FrameType::kRequest) {
+        break;
+      case FrameType::kPeerPut:
+        serve_peer_put(result.frame.payload);
+        break;
+      default:
         obs::count("svc.frames_rejected");
         protocol_error(conn, "",
-                       std::string("unexpected ") +
-                           frame_type_name(result.frame.type) +
+                       std::string("unexpected ") + frame_type_name(result.frame.type) +
                            " frame from client (only request frames flow this way)");
         return;
-      }
-      process_request(conn, result.frame.payload);
-      if (conn.poisoned || conn.dead) return;
     }
-  }
-  // NDJSON: one request object per line. A line longer than the message
-  // bound is the same DoS shape as an oversized frame — reject, don't buffer.
-  std::size_t newline;
-  while ((newline = conn.line_buffer.find('\n')) != std::string::npos) {
-    const std::string line = conn.line_buffer.substr(0, newline);
-    conn.line_buffer.erase(0, newline + 1);
-    if (!line.empty()) {
-      if (line.size() > options.max_message_bytes) {
-        obs::count("svc.frames_rejected");
-        protocol_error(conn, "",
-                       "request line of " + std::to_string(line.size()) +
-                           " bytes exceeds the " +
-                           std::to_string(options.max_message_bytes) + "-byte limit");
-        return;
-      }
-      process_request(conn, line);
-      if (conn.poisoned || conn.dead) return;
-    }
-  }
-  if (conn.line_buffer.size() > options.max_message_bytes) {
-    obs::count("svc.frames_rejected");
-    protocol_error(conn, "",
-                   "request line exceeds the " +
-                       std::to_string(options.max_message_bytes) + "-byte limit");
+    if (conn.poisoned || conn.dead) return;
   }
 }
 
@@ -475,8 +423,7 @@ void Daemon::Impl::serve_peer_get(Conn& conn, const std::string& payload) {
 // shard cannot make the pushing shard block on acknowledgements. A payload
 // that fails validation (malformed, or a non-cacheable verdict) is dropped —
 // losing a push costs a future recompute, never correctness.
-void Daemon::Impl::serve_peer_put(Conn& conn, const std::string& payload) {
-  (void)conn;
+void Daemon::Impl::serve_peer_put(const std::string& payload) {
   obs::count("svc.peer.serve_put");
   std::optional<std::pair<Fingerprint, CachedVerdict>> entry = cached_from_json(payload);
   if (!entry) return;
@@ -486,12 +433,7 @@ void Daemon::Impl::serve_peer_put(Conn& conn, const std::string& payload) {
 void Daemon::Impl::queue_message(Conn& conn, FrameType type,
                                  std::string_view payload) {
   if (conn.dead) return;
-  if (conn.wire == Wire::kBinary) {
-    conn.outbuf += encode_frame(type, payload);
-  } else {
-    conn.outbuf.append(payload);
-    conn.outbuf.push_back('\n');
-  }
+  conn.outbuf += encode_frame(type, payload);
   on_writable(conn);  // opportunistic immediate flush
 }
 
@@ -545,37 +487,17 @@ std::shared_ptr<const mdl::VmlModel> Daemon::Impl::parse_model(
 }
 
 void Daemon::Impl::process_request(Conn& conn, const std::string& payload) {
-  obs::JsonValue req;
-  try {
-    req = obs::parse_json(payload);
-  } catch (const std::exception& error) {
-    queue_message(conn, FrameType::kError,
-                  error_json("", std::string("bad request JSON: ") + error.what()));
-    return;
-  }
-  const std::string id = request_id(req);
+  WireRequest req;
+  const std::string bad = parse_request(payload, req);
+  const std::string& id = req.id;
   const auto reply_error = [&](const std::string& message) {
     queue_message(conn, FrameType::kError, error_json(id, message));
   };
-  if (!req["model"].is_string() || req["model"].string.empty())
-    return reply_error("request needs a \"model\" field (vml text)");
-
-  core::Engine engine = core::Engine::kAuto;
-  if (req.has("engine")) {
-    const std::optional<core::Engine> parsed = engine_from_name(req["engine"].string);
-    if (!parsed) return reply_error("unknown engine '" + req["engine"].string + "'");
-    engine = *parsed;
-  }
-  const int depth = req["depth"].is_number() ? static_cast<int>(req["depth"].number) : 50;
-  const double timeout = req["timeout"].is_number() ? req["timeout"].number : 0.0;
-  const bool optimize =
-      req["optimize"].kind == obs::JsonValue::Kind::kBool ? req["optimize"].boolean : true;
-  const bool abstract =
-      req["abstract"].kind == obs::JsonValue::Kind::kBool ? req["abstract"].boolean : true;
+  if (!bad.empty()) return reply_error(bad);
 
   std::shared_ptr<const mdl::VmlModel> model;
   try {
-    model = parse_model(req["model"].string);
+    model = parse_model(req.model);
   } catch (const std::exception& error) {
     return reply_error(std::string("model error: ") + error.what());
   }
@@ -584,17 +506,14 @@ void Daemon::Impl::process_request(Conn& conn, const std::string& payload) {
   // properties are BDD-checked client-side (docs/service.md) — naming one
   // here is an error, not a silent skip.
   std::vector<std::string> names;
-  if (req["props"].is_array()) {
-    for (const obs::JsonValue& p : req["props"].array) {
-      if (!p.is_string()) return reply_error("\"props\" must be an array of names");
-      if (model->ctl_properties.contains(p.string) &&
-          !model->ltl_properties.contains(p.string))
-        return reply_error("property '" + p.string +
-                           "' is CTL; verdictd serves LTL only");
-      if (!model->ltl_properties.contains(p.string))
-        return reply_error("unknown property '" + p.string + "'");
-      names.push_back(p.string);
+  if (req.props) {
+    for (const std::string& p : *req.props) {
+      if (model->ctl_properties.contains(p) && !model->ltl_properties.contains(p))
+        return reply_error("property '" + p + "' is CTL; verdictd serves LTL only");
+      if (!model->ltl_properties.contains(p))
+        return reply_error("unknown property '" + p + "'");
     }
+    names = std::move(*req.props);
   } else {
     for (const auto& [name, property] : model->ltl_properties) names.push_back(name);
   }
@@ -603,7 +522,7 @@ void Daemon::Impl::process_request(Conn& conn, const std::string& payload) {
     s->event("svc.request_line")
         .attr("id", id)
         .attr("props", names.size())
-        .attr("engine", engine_name(engine))
+        .attr("engine", engine_name(req.engine))
         .emit();
 
   auto ctx = std::make_shared<RequestCtx>();
@@ -618,16 +537,17 @@ void Daemon::Impl::process_request(Conn& conn, const std::string& payload) {
   // Fan every property onto the service pool. Completions are marshalled
   // back to this loop through the wake pipe; nothing blocks here, which is
   // what lets requests from MANY connections coalesce into service batches.
-  const util::Deadline deadline =
-      timeout > 0 ? util::Deadline::after_seconds(timeout) : util::Deadline::never();
+  const util::Deadline deadline = req.timeout > 0
+                                     ? util::Deadline::after_seconds(req.timeout)
+                                     : util::Deadline::never();
   for (std::size_t i = 0; i < ctx->names.size(); ++i) {
     CheckRequest request;
     request.system = &model->system;
     request.property = model->ltl_properties.at(ctx->names[i]);
-    request.engine = engine;
-    request.max_depth = depth;
-    request.optimize = optimize;
-    request.abstract = abstract;
+    request.engine = req.engine;
+    request.max_depth = req.depth;
+    request.optimize = req.optimize;
+    request.abstract = req.abstract;
     request.deadline = deadline;
     request.on_complete = [this, ctx, i] {
       {

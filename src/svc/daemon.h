@@ -19,11 +19,11 @@
 // through a wake pipe, so one connection with N properties and N
 // connections with one property load the machine the same way.
 //
-// Two wire modes share one port (svc/frame.h): length-prefixed binary
-// frames (first byte 'V') and newline-delimited JSON as an auto-detected
-// debug mode. Payloads are identical; docs/service.md specifies both.
-// Inbound messages beyond `max_message_bytes` are answered with a clean
-// `error` and the connection is closed, never buffered without bound.
+// The wire is length-prefixed binary frames (svc/frame.h) carrying the JSON
+// objects docs/service.md specifies. A connection whose bytes are not a
+// frame (bad magic, version or type) or that declares a payload beyond
+// `max_message_bytes` gets one `error` frame, counts in
+// `svc.frames_rejected`, and is closed — never buffered without bound.
 //
 // request_stop() makes serve() stop accepting and stop reading, finishes
 // every admitted request, flushes the response buffers, and drains the
@@ -43,9 +43,9 @@ namespace verdict::svc {
 struct DaemonOptions {
   /// Path of the AF_UNIX socket. A stale file at this path is replaced.
   std::string socket_path;
-  /// Upper bound on one inbound message: a binary frame payload or one
-  /// NDJSON line. Larger messages get an `error` response and the
-  /// connection is closed (counted in `svc.frames_rejected`).
+  /// Upper bound on one inbound frame payload. A larger declared length
+  /// gets an `error` response and the connection is closed (counted in
+  /// `svc.frames_rejected`).
   std::size_t max_message_bytes = kDefaultMaxMessageBytes;
   ServiceOptions service;
 };

@@ -1,15 +1,9 @@
 // The verdictd binary wire framing: length-prefixed frames over a stream.
 //
-// Newline-delimited JSON (svc/protocol.h) is great for debugging with
-// socat and terrible as a service plane: every byte is scanned for '\n',
-// payloads cannot contain raw newlines, and there is no place to hang a
-// version or a type before parsing. The binary framing fixes the transport
-// without touching the payloads — a frame *carries* exactly the JSON object
-// the NDJSON mode would have put on one line, so the request/response
-// schema (docs/service.md) is identical in both modes and the daemon
-// auto-detects which one a client speaks from the first byte of the
-// connection (0x56 'V' = binary; '{' or whitespace = NDJSON, which no JSON
-// object can start with 'V').
+// This is the only wire verdictd speaks. A frame carries one JSON object
+// (svc/protocol.h; schema in docs/service.md) behind a typed, versioned,
+// length-prefixed header, so the reader never scans payload bytes for a
+// delimiter and knows the message type before parsing it.
 //
 //   offset  size  field
 //   0       2     magic 0x56 0x46 ("VF")
@@ -22,8 +16,9 @@
 // complete frames) and adversarial-input hardened: bad magic, version skew,
 // unknown types, and oversized declared lengths are hard errors — the
 // connection is poisoned, not resynchronized, because a framing error means
-// the two sides already disagree about where messages start. Every rejected
-// frame bumps the `svc.frames_rejected` counter.
+// the two sides already disagree about where messages start. A peer that
+// sends anything but frames (a JSON line, say) fails on its first byte. Every
+// rejected frame bumps the `svc.frames_rejected` counter.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +32,7 @@ inline constexpr char kFrameMagic1 = 0x46;  // 'F'
 inline constexpr std::uint8_t kFrameVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
-/// Default cap on one inbound message (frame payload or NDJSON line). Large
+/// Default cap on one inbound frame payload. Large
 /// enough for any realistic model text, small enough that a malicious or
 /// broken peer cannot make the server buffer without bound.
 inline constexpr std::size_t kDefaultMaxMessageBytes = 8u << 20;  // 8 MiB
@@ -63,8 +58,7 @@ struct Frame {
   std::string payload;
 };
 
-/// Renders header + payload. The payload is the same JSON object text the
-/// NDJSON mode would send (minus the trailing newline).
+/// Renders header + payload (one JSON object text, no trailing newline).
 [[nodiscard]] std::string encode_frame(FrameType type, std::string_view payload);
 
 /// Incremental frame parser for one connection. Not thread-safe (one

@@ -1,13 +1,10 @@
 #include "svc/peer.h"
 
-#include <fcntl.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -213,300 +210,5 @@ void PeerExchange::publish(const Fingerprint& key, const CachedVerdict& value) {
 
 const Ring& PeerExchange::ring() const { return impl_->ring; }
 const std::string& PeerExchange::self_id() const { return impl_->self; }
-
-// --- Router ------------------------------------------------------------------
-
-namespace {
-
-constexpr std::size_t kRouterHighWatermark = 1u << 20;  // stop reading a side
-constexpr std::size_t kRouterChunk = 64u << 10;
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
-
-struct Router::Impl {
-  struct Pair {
-    int client_fd = -1;
-    int backend_fd = -1;
-    std::string to_backend;  // bytes read from the client, not yet written
-    std::string to_client;
-    bool client_eof = false;
-    bool backend_eof = false;
-    bool backend_shut = false;  // SHUT_WR propagated
-    bool client_shut = false;
-  };
-  struct FdState {
-    std::shared_ptr<Pair> pair;
-    bool is_client = false;
-    std::uint32_t mask = 0;  // currently registered epoll interest
-  };
-
-  RouterOptions options;
-  int listen_fd = -1;
-  int epoll_fd = -1;
-  int stop_pipe[2] = {-1, -1};
-  std::size_t next_backend = 0;
-  std::atomic<std::uint64_t> routed{0};
-  std::unordered_map<int, FdState> fds;
-
-  ~Impl() {
-    for (auto& [fd, st] : fds) ::close(fd);
-    if (listen_fd >= 0) ::close(listen_fd);
-    if (epoll_fd >= 0) ::close(epoll_fd);
-    if (stop_pipe[0] >= 0) ::close(stop_pipe[0]);
-    if (stop_pipe[1] >= 0) ::close(stop_pipe[1]);
-  }
-
-  void update_interest(int fd) {
-    auto it = fds.find(fd);
-    if (it == fds.end()) return;
-    FdState& st = it->second;
-    Pair& p = *st.pair;
-    std::uint32_t want = 0;
-    if (st.is_client) {
-      if (!p.client_eof && p.to_backend.size() < kRouterHighWatermark)
-        want |= EPOLLIN;
-      if (!p.to_client.empty()) want |= EPOLLOUT;
-    } else {
-      if (!p.backend_eof && p.to_client.size() < kRouterHighWatermark)
-        want |= EPOLLIN;
-      if (!p.to_backend.empty()) want |= EPOLLOUT;
-    }
-    if (want == st.mask) return;
-    epoll_event ev{};
-    ev.events = want;
-    ev.data.fd = fd;
-    if (want == 0)
-      ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    else if (st.mask == 0)
-      ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-    else
-      ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev);
-    st.mask = want;
-  }
-
-  void close_pair(const std::shared_ptr<Pair>& p) {
-    for (const int fd : {p->client_fd, p->backend_fd}) {
-      auto it = fds.find(fd);
-      if (it == fds.end()) continue;
-      if (it->second.mask != 0) ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-      ::close(fd);
-      fds.erase(it);
-    }
-  }
-
-  /// Flushes as much of `buf` into `fd` as the kernel accepts right now.
-  /// Returns false on a hard error.
-  static bool flush(int fd, std::string& buf) {
-    while (!buf.empty()) {
-      const ssize_t n = ::send(fd, buf.data(), buf.size(), MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-        return false;
-      }
-      buf.erase(0, static_cast<std::size_t>(n));
-    }
-    return true;
-  }
-
-  /// Reads from `fd` into `buf` until EAGAIN, the watermark, or EOF.
-  /// Returns false on a hard error; sets *eof at end of stream.
-  static bool drain_reads(int fd, std::string& buf, bool* eof) {
-    char chunk[kRouterChunk];
-    while (buf.size() < kRouterHighWatermark) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-        return false;
-      }
-      if (n == 0) {
-        *eof = true;
-        return true;
-      }
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-    return true;
-  }
-
-  /// Propagates half-closes and retires the pair once both directions are
-  /// done. Returns true when the pair was closed.
-  bool settle(const std::shared_ptr<Pair>& p) {
-    if (p->client_eof && p->to_backend.empty() && !p->backend_shut) {
-      ::shutdown(p->backend_fd, SHUT_WR);
-      p->backend_shut = true;
-    }
-    if (p->backend_eof && p->to_client.empty() && !p->client_shut) {
-      ::shutdown(p->client_fd, SHUT_WR);
-      p->client_shut = true;
-    }
-    if (p->backend_shut && p->client_shut) {
-      close_pair(p);
-      return true;
-    }
-    return false;
-  }
-
-  void handle_event(int fd, std::uint32_t events) {
-    auto it = fds.find(fd);
-    if (it == fds.end()) return;
-    std::shared_ptr<Pair> p = it->second.pair;
-    const bool is_client = it->second.is_client;
-
-    if (events & (EPOLLERR | EPOLLHUP)) {
-      // Treat a hangup as EOF from that side; a true error kills the pair
-      // below when read/write fails.
-      if (is_client)
-        p->client_eof = true;
-      else
-        p->backend_eof = true;
-    }
-    bool ok = true;
-    if (events & EPOLLIN) {
-      if (is_client)
-        ok = drain_reads(p->client_fd, p->to_backend, &p->client_eof);
-      else
-        ok = drain_reads(p->backend_fd, p->to_client, &p->backend_eof);
-    }
-    if (ok) {
-      // Opportunistic flush both ways — a read event on one side usually
-      // means the other side can take bytes.
-      ok = flush(p->backend_fd, p->to_backend) && flush(p->client_fd, p->to_client);
-    }
-    if (!ok) {
-      close_pair(p);
-      return;
-    }
-    if (settle(p)) return;
-    update_interest(p->client_fd);
-    update_interest(p->backend_fd);
-  }
-
-  /// Round-robin dial; tries every backend once starting at the cursor.
-  int dial_backend() {
-    const std::size_t n = options.backends.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& path = options.backends[(next_backend + i) % n];
-      const int fd = dial_unix(path, 0);
-      if (fd >= 0) {
-        next_backend = (next_backend + i + 1) % n;
-        return fd;
-      }
-      obs::count("svc.peer.unreachable");
-    }
-    return -1;
-  }
-
-  void accept_clients() {
-    for (;;) {
-      const int cfd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (cfd < 0) return;  // EAGAIN or transient — the loop comes back
-      const int bfd = dial_backend();
-      if (bfd < 0) {
-        // Every shard refused: the client sees a closed connection, exactly
-        // what a single down daemon would have shown it.
-        ::close(cfd);
-        continue;
-      }
-      set_nonblocking(bfd);
-      auto pair = std::make_shared<Pair>();
-      pair->client_fd = cfd;
-      pair->backend_fd = bfd;
-      fds[cfd] = {pair, true, 0};
-      fds[bfd] = {pair, false, 0};
-      update_interest(cfd);
-      update_interest(bfd);
-      routed.fetch_add(1, std::memory_order_relaxed);
-      obs::count("svc.connections");
-    }
-  }
-};
-
-Router::Router(const RouterOptions& options) : impl_(std::make_unique<Impl>()) {
-  impl_->options = options;
-  if (options.backends.empty())
-    throw std::invalid_argument("Router: no backend shards configured");
-
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options.socket_path.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("Router: socket path too long: " + options.socket_path);
-  std::memcpy(addr.sun_path, options.socket_path.c_str(), options.socket_path.size() + 1);
-
-  impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (impl_->listen_fd < 0)
-    throw std::runtime_error("Router: socket(): " + std::string(std::strerror(errno)));
-  ::unlink(options.socket_path.c_str());
-  if (::bind(impl_->listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0)
-    throw std::runtime_error("Router: bind(" + options.socket_path +
-                             "): " + std::strerror(errno));
-  if (::listen(impl_->listen_fd, 128) != 0)
-    throw std::runtime_error("Router: listen(): " + std::string(std::strerror(errno)));
-  if (::pipe2(impl_->stop_pipe, O_CLOEXEC | O_NONBLOCK) != 0)
-    throw std::runtime_error("Router: pipe2(): " + std::string(std::strerror(errno)));
-  impl_->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (impl_->epoll_fd < 0)
-    throw std::runtime_error("Router: epoll_create1(): " + std::string(std::strerror(errno)));
-}
-
-Router::~Router() = default;
-
-void Router::serve() {
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = impl_->listen_fd;
-  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd, &ev);
-  ev.data.fd = impl_->stop_pipe[0];
-  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->stop_pipe[0], &ev);
-
-  epoll_event events[64];
-  for (;;) {
-    const int n = ::epoll_wait(impl_->epoll_fd, events, 64, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    bool stop = false;
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == impl_->stop_pipe[0]) {
-        stop = true;
-      } else if (fd == impl_->listen_fd) {
-        impl_->accept_clients();
-      } else {
-        impl_->handle_event(fd, events[i].events);
-      }
-    }
-    if (stop) break;
-  }
-
-  // A router restart is stateless and cheap; in-flight routed connections
-  // are cut (the shards behind it keep their caches and drain themselves).
-  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_DEL, impl_->listen_fd, nullptr);
-  ::close(impl_->listen_fd);
-  impl_->listen_fd = -1;
-  ::unlink(impl_->options.socket_path.c_str());
-  std::vector<int> open;
-  open.reserve(impl_->fds.size());
-  for (const auto& [fd, st] : impl_->fds) open.push_back(fd);
-  for (const int fd : open) ::close(fd);
-  impl_->fds.clear();
-}
-
-void Router::request_stop() {
-  const char byte = 's';
-  [[maybe_unused]] const ssize_t n = ::write(impl_->stop_pipe[1], &byte, 1);
-}
-
-const std::string& Router::socket_path() const { return impl_->options.socket_path; }
-
-std::uint64_t Router::connections_routed() const {
-  return impl_->routed.load(std::memory_order_relaxed);
-}
 
 }  // namespace verdict::svc

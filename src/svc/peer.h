@@ -1,4 +1,4 @@
-// Shard-to-shard verdict exchange + the cluster router.
+// Shard-to-shard verdict exchange.
 //
 // PeerExchange is the outermost store tier (LRU -> segment -> peer): when a
 // daemon misses locally on a fingerprint the ring says a *different* shard
@@ -23,18 +23,13 @@
 // calling daemon then computes locally. A dead shard NEVER surfaces as a
 // client-visible error (tests/verdictd_cli_test.sh kills one mid-run).
 //
-// Router is the single-endpoint front: `verdictd --route` listens on one
-// socket path and splices each accepted connection to a backend shard
-// (round-robin, skipping shards that refuse). Clients keep speaking to one
-// path; the shards behind it behave as one cache because every fresh verdict
-// is PEER_PUT to its ring owner regardless of which shard computed it.
+// Clients route themselves: `verdictc --shard-of` names a key's owner, and
+// any shard also answers keys it does not own, through PEER_GET to the owner.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "svc/ring.h"
 #include "svc/verdict_cache.h"
@@ -73,36 +68,6 @@ class PeerExchange {
 
   [[nodiscard]] const Ring& ring() const;
   [[nodiscard]] const std::string& self_id() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-struct RouterOptions {
-  /// Front socket path clients connect to. A stale file is replaced.
-  std::string socket_path;
-  /// Backend shard socket paths (the cluster spec, in any order).
-  std::vector<std::string> backends;
-};
-
-/// Byte-level splicing proxy with the Daemon's lifecycle shape: construct
-/// (binds + listens), serve() on some thread, request_stop() from anywhere
-/// (async-signal-safe). Wire-agnostic — it never parses frames, so binary
-/// and NDJSON clients both route.
-class Router {
- public:
-  explicit Router(const RouterOptions& options);  // throws on socket errors
-  ~Router();
-
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  void serve();
-  void request_stop();
-
-  [[nodiscard]] const std::string& socket_path() const;
-  [[nodiscard]] std::uint64_t connections_routed() const;
 
  private:
   struct Impl;

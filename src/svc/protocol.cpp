@@ -1,5 +1,9 @@
 #include "svc/protocol.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "core/result.h"
 
 namespace verdict::svc {
@@ -45,6 +49,54 @@ std::optional<core::Verdict> verdict_from_name(std::string_view name) {
   if (name == "timeout") return Verdict::kTimeout;
   if (name == "unknown") return Verdict::kUnknown;
   return std::nullopt;
+}
+
+std::string parse_request(std::string_view payload, WireRequest& out) {
+  out = WireRequest{};
+  obs::JsonValue req;
+  try {
+    req = obs::parse_json(payload);
+  } catch (const std::exception& error) {
+    return std::string("bad request JSON: ") + error.what();
+  }
+  const obs::JsonValue& id = req["id"];
+  if (id.is_string()) out.id = id.string;
+  if (id.is_number()) out.id = obs::json_number(id.number);
+
+  if (!req["model"].is_string() || req["model"].string.empty())
+    return "request needs a \"model\" field (vml text)";
+  out.model = req["model"].string;
+  if (req.has("engine")) {
+    const std::optional<core::Engine> parsed = engine_from_name(req["engine"].string);
+    if (!parsed) return "unknown engine '" + req["engine"].string + "'";
+    out.engine = *parsed;
+  }
+  // Range checks before the casts: a double outside int (or a duration past
+  // the clock's range) does not convert.
+  if (req["depth"].is_number()) {
+    const double depth = req["depth"].number;
+    if (!(depth >= 0 && depth <= std::numeric_limits<int>::max()))
+      return "\"depth\" must be a non-negative integer";
+    out.depth = static_cast<int>(depth);
+  }
+  if (req["timeout"].is_number()) {
+    const double timeout = req["timeout"].number;
+    if (!std::isfinite(timeout) || timeout > 1e9)
+      return "\"timeout\" must be a finite number of seconds";
+    out.timeout = std::max(timeout, 0.0);
+  }
+  if (req["optimize"].kind == obs::JsonValue::Kind::kBool)
+    out.optimize = req["optimize"].boolean;
+  if (req["abstract"].kind == obs::JsonValue::Kind::kBool)
+    out.abstract = req["abstract"].boolean;
+  if (req["props"].is_array()) {
+    out.props.emplace();
+    for (const obs::JsonValue& p : req["props"].array) {
+      if (!p.is_string()) return "\"props\" must be an array of names";
+      out.props->push_back(p.string);
+    }
+  }
+  return "";
 }
 
 std::string wire_verdict_line(const std::string& id, const WireVerdict& v) {

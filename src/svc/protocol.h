@@ -1,7 +1,5 @@
 // The verdictd wire protocol: JSON payloads over a Unix-domain stream
-// socket, carried either in length-prefixed binary frames (svc/frame.h,
-// the default) or as newline-delimited JSON (the debug mode) — the daemon
-// auto-detects per connection on the first byte.
+// socket, each carried in one length-prefixed binary frame (svc/frame.h).
 //
 // One request per message, answered by one "verdict" message per checked
 // property followed by a single "done" (or an "error"). The model travels
@@ -21,6 +19,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/checker.h"
 #include "obs/json.h"
@@ -34,6 +33,25 @@ namespace verdict::svc {
 
 /// Inverse of core::verdict_name.
 [[nodiscard]] std::optional<core::Verdict> verdict_from_name(std::string_view name);
+
+/// One request, in wire form and range-checked. The daemon still resolves
+/// the model text and the property names against it.
+struct WireRequest {
+  std::string id;                                 // echoed in every response
+  std::string model;                              // vml text, non-empty
+  std::optional<std::vector<std::string>> props;  // absent = every LTL property
+  core::Engine engine = core::Engine::kAuto;
+  int depth = 50;
+  double timeout = 0.0;  // seconds; 0 = no deadline
+  bool optimize = true;
+  bool abstract = true;
+};
+
+/// Parses one request payload into `out`. Returns "" on success, else the
+/// reason to reject it; `out.id` is filled whenever the payload carries a
+/// readable id, so the error response can name the request. Never throws:
+/// every byte string ends in a request or a reason.
+[[nodiscard]] std::string parse_request(std::string_view payload, WireRequest& out);
 
 /// One "verdict" response line, in wire form (the counterexample stays as
 /// its JSON text; rehydration is the client's job).

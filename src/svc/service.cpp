@@ -62,6 +62,58 @@ std::uint64_t deadline_bucket(const util::Deadline& d) {
   return static_cast<std::uint64_t>(d.remaining_seconds() * 10.0);
 }
 
+// The store tiers in lookup order — LRU, persistent segment, ring owner —
+// and their write-through rule. The direct path, SessionCache and PEER_GET /
+// PEER_PUT serving all walk the tiers through this one type. `segment` is
+// null without a segment file; `peers` is null off a cluster, and for
+// PEER_GET serving, which answers from this shard's local tiers only so a
+// peer lookup stays one hop.
+struct StoreTiers {
+  VerdictCache* lru = nullptr;
+  SegmentStore* segment = nullptr;
+  PeerExchange* peers = nullptr;
+
+  /// The tiers below the LRU: the segment, then the shard the ring assigns
+  /// `key` to.
+  [[nodiscard]] std::optional<CachedVerdict> fetch(const Fingerprint& key) const {
+    if (segment != nullptr) {
+      if (std::optional<CachedVerdict> held = segment->lookup(key)) return held;
+    }
+    if (peers != nullptr) {
+      if (peers->owns(key)) {
+        obs::count("svc.ring.local");
+      } else {
+        obs::count("svc.ring.remote");
+        return peers->fetch(key);
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// The LRU, then fetch(); a lower-tier hit is re-inserted into the LRU.
+  [[nodiscard]] std::optional<CachedVerdict> lookup(const Fingerprint& key) const {
+    if (std::optional<CachedVerdict> held = lru->lookup(key)) return held;
+    std::optional<CachedVerdict> held = fetch(key);
+    if (held) lru->insert(key, *held);
+    return held;
+  }
+
+  /// Write-through below the LRU: the segment makes a fresh verdict
+  /// crash-durable now (not at the next snapshot), and the ring owner gets a
+  /// copy so every shard is one peer hop from it. Both drop non-definitive
+  /// verdicts on their own.
+  void write_through(const Fingerprint& key, const CachedVerdict& value) const {
+    if (segment != nullptr) segment->append(key, value);
+    if (peers != nullptr) peers->publish(key, value);
+  }
+
+  /// write_through(), then the LRU.
+  void store(const Fingerprint& key, CachedVerdict value) const {
+    write_through(key, value);
+    lru->insert(key, std::move(value));
+  }
+};
+
 // PropertyCacheHook that delegates to SessionCache and records which of the
 // session's properties were answered from the cache, so the batch fan-out can
 // set per-member cache_hit flags truthfully. Hits are recorded by property
@@ -149,7 +201,11 @@ struct BatchMember {
   std::condition_variable cv;
   bool done = false;
   bool cancelled = false;
-  std::shared_ptr<Batch> batch;
+  // Weak: the batch owns its members (Batch::Entry::member), so a strong
+  // back-reference would be a cycle that leaks every batch. The open-batch
+  // table, then the dispatched job, keep the batch alive while a cancel
+  // can still matter.
+  std::weak_ptr<Batch> batch;
 
   void cancel() {
     {
@@ -157,11 +213,12 @@ struct BatchMember {
       if (cancelled) return;
       cancelled = true;
     }
-    if (!batch) return;
-    std::lock_guard<std::mutex> lock(batch->mu);
-    ++batch->cancelled_members;
-    if (batch->dispatched && batch->cancelled_members >= batch->entries.size())
-      batch->handle.cancel();
+    const std::shared_ptr<Batch> live = batch.lock();
+    if (!live) return;
+    std::lock_guard<std::mutex> lock(live->mu);
+    ++live->cancelled_members;
+    if (live->dispatched && live->cancelled_members >= live->entries.size())
+      live->handle.cancel();
   }
 
   void mark_done() {
@@ -316,9 +373,7 @@ PendingCheck Service::submit(const CheckRequest& request) {
 
   std::shared_ptr<CheckResponse> slot = pending.slot_;
   Inflight* inflight = inflight_.get();
-  VerdictCache* cache = cache_.get();
-  SegmentStore* segment = segment_.get();
-  PeerExchange* peers = peers_.get();
+  const StoreTiers tiers{cache_.get(), segment_.get(), peers_.get()};
   ReuseHook* reuse = reuse_;
   util::Stopwatch queued;
 
@@ -338,26 +393,14 @@ PendingCheck Service::submit(const CheckRequest& request) {
         bool computed = false;
         CachedVerdict cached;
         if (optimize && abstract) {
-          cached = cache->get_or_compute(key, [&] {
-            // Exact LRU miss. Walk the remaining store tiers before paying
-            // for any engine work: the persistent segment, then — when this
-            // daemon runs as a cluster shard — the shard the ring assigns
-            // the fingerprint to. A tier hit leaves `computed` false (the
+          cached = tiers.lru->get_or_compute(key, [&] {
+            // Exact LRU miss (single-flight: concurrent identical requests
+            // wait here). Walk the remaining store tiers before paying for
+            // any engine work. A tier hit leaves `computed` false (the
             // client sees the warm hit it is) and get_or_compute re-inserts
             // it into the LRU.
-            if (segment != nullptr) {
-              if (std::optional<CachedVerdict> held = segment->lookup(key))
-                return std::move(*held);
-            }
-            if (peers != nullptr) {
-              if (peers->owns(key)) {
-                obs::count("svc.ring.local");
-              } else {
-                obs::count("svc.ring.remote");
-                if (std::optional<CachedVerdict> held = peers->fetch(key))
-                  return std::move(*held);
-              }
-            }
+            if (std::optional<CachedVerdict> held = tiers.fetch(key))
+              return std::move(*held);
             // Before paying for a scratch run, let the incremental layer try
             // to carry the verdict over from a previous model version
             // (unchanged cone, or a revalidated proof artifact).
@@ -377,12 +420,7 @@ PendingCheck Service::submit(const CheckRequest& request) {
                           ? reuse->record(*system, property, engine, max_depth, out)
                           : cached_from_outcome(out);
             }
-            // Write-through: the segment makes the verdict crash-durable NOW
-            // (not at the next snapshot), and the ring owner gets a copy so
-            // every shard is one peer hop from it. Both drop non-definitive
-            // verdicts on their own.
-            if (segment != nullptr) segment->append(key, fresh);
-            if (peers != nullptr) peers->publish(key, fresh);
+            tiers.write_through(key, fresh);
             return fresh;
           });
         } else {
@@ -396,9 +434,7 @@ PendingCheck Service::submit(const CheckRequest& request) {
           cached = reuse != nullptr
                        ? reuse->record(*system, property, engine, max_depth, out)
                        : cached_from_outcome(out);
-          cache->insert(key, cached);
-          if (segment != nullptr) segment->append(key, cached);
-          if (peers != nullptr) peers->publish(key, cached);
+          tiers.store(key, cached);
           obs::count("svc.cache_bypassed");
         }
         slot->cache_hit = !computed;
@@ -672,52 +708,19 @@ std::uint64_t Service::batched_requests() const {
 }
 
 std::optional<CachedVerdict> Service::store_lookup(const Fingerprint& key) {
-  if (std::optional<CachedVerdict> held = cache_->lookup(key)) return held;
-  if (segment_ != nullptr) {
-    if (std::optional<CachedVerdict> held = segment_->lookup(key)) {
-      cache_->insert(key, *held);
-      return held;
-    }
-  }
-  return std::nullopt;
+  return StoreTiers{cache_.get(), segment_.get(), nullptr}.lookup(key);
 }
 
 void Service::store_insert(const Fingerprint& key, CachedVerdict value) {
-  if (segment_ != nullptr) segment_->append(key, value);
-  cache_->insert(key, std::move(value));
+  StoreTiers{cache_.get(), segment_.get(), nullptr}.store(key, std::move(value));
 }
 
 std::optional<core::CheckOutcome> SessionCache::lookup(
     const ts::TransitionSystem& system, const ltl::Formula& property,
     core::Engine engine, int max_depth) {
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
-  if (std::optional<CachedVerdict> cached = cache_.lookup(key))
-    return outcome_from_cached(*cached);  // rehydration failure -> miss
-  // Remaining store tiers, same order as the direct path: segment, then the
-  // ring owner. Tier hits are re-inserted into the LRU.
-  if (segment_ != nullptr) {
-    if (std::optional<CachedVerdict> held = segment_->lookup(key)) {
-      std::optional<core::CheckOutcome> outcome = outcome_from_cached(*held);
-      if (outcome) {
-        cache_.insert(key, std::move(*held));
-        return outcome;
-      }
-    }
-  }
-  if (peers_ != nullptr) {
-    if (peers_->owns(key)) {
-      obs::count("svc.ring.local");
-    } else {
-      obs::count("svc.ring.remote");
-      if (std::optional<CachedVerdict> held = peers_->fetch(key)) {
-        std::optional<core::CheckOutcome> outcome = outcome_from_cached(*held);
-        if (outcome) {
-          cache_.insert(key, std::move(*held));
-          return outcome;
-        }
-      }
-    }
-  }
+  if (std::optional<CachedVerdict> held = StoreTiers{&cache_, segment_, peers_}.lookup(key))
+    return outcome_from_cached(*held);  // rehydration failure -> miss
   if (reuse_ != nullptr) {
     // Exact miss: a previous model version may still answer (svc/reuse.h).
     // Sessions are synchronous, so the revalidation runs on the caller's
@@ -737,13 +740,10 @@ void SessionCache::store(const ts::TransitionSystem& system,
                          const ltl::Formula& property, core::Engine engine,
                          int max_depth, const core::CheckOutcome& outcome) {
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
-  // insert/append/publish all drop non-definitive verdicts on their own.
-  CachedVerdict v = reuse_ != nullptr
-                        ? reuse_->record(system, property, engine, max_depth, outcome)
-                        : cached_from_outcome(outcome);
-  if (segment_ != nullptr) segment_->append(key, v);
-  if (peers_ != nullptr) peers_->publish(key, v);
-  cache_.insert(key, std::move(v));
+  // Every tier drops non-definitive verdicts on its own.
+  StoreTiers{&cache_, segment_, peers_}.store(
+      key, reuse_ != nullptr ? reuse_->record(system, property, engine, max_depth, outcome)
+                             : cached_from_outcome(outcome));
 }
 
 }  // namespace verdict::svc

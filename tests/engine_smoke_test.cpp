@@ -51,17 +51,6 @@ TEST(BmcSmoke, BoundReachedWhenSafe) {
   EXPECT_EQ(outcome.verdict, Verdict::kBoundReached);
 }
 
-TEST(BmcSmoke, MonolithicAgreesWithIncremental) {
-  const auto ts = counter_system("bmc3", 8);
-  const Expr x = expr::var_by_name("bmc3_x");
-  core::BmcOptions options;
-  options.incremental = false;
-  const auto outcome =
-      core::check_invariant_bmc(ts, expr::mk_lt(x, expr::int_const(5)), options);
-  ASSERT_EQ(outcome.verdict, Verdict::kViolated);
-  EXPECT_EQ(outcome.stats.depth_reached, 5);
-}
-
 TEST(KInductionSmoke, ProvesSafeCounter) {
   const auto ts = counter_system("kind1", 4);
   const Expr x = expr::var_by_name("kind1_x");

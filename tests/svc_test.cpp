@@ -6,14 +6,18 @@
 // pool, and the sharded cache simultaneously.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,6 +35,7 @@
 #include "svc/fingerprint.h"
 #include "svc/frame.h"
 #include "svc/peer.h"
+#include "svc/protocol.h"
 #include "svc/ring.h"
 #include "svc/segment.h"
 #include "svc/service.h"
@@ -625,8 +630,8 @@ TEST(Frame, TruncatedHeaderJustWaits) {
 }
 
 TEST(Frame, RejectsBadMagicOnTheFirstByte) {
-  // A non-frame peer (say, an NDJSON client on the wrong code path) is
-  // rejected immediately — not buffered until a bogus length arrives.
+  // A non-frame peer (say, a client writing JSON lines) is rejected
+  // immediately — not buffered until a bogus length arrives.
   svc::FrameDecoder decoder;
   decoder.feed("{", 1);
   const svc::FrameDecoder::Result result = decoder.next();
@@ -669,6 +674,132 @@ TEST(Frame, StaysPoisonedAfterAnError) {
   // A valid frame after the bad bytes does NOT resynchronize the stream.
   decoder.feed(svc::encode_frame(svc::FrameType::kRequest, "valid"));
   EXPECT_EQ(decoder.next().status, svc::FrameDecoder::Status::kError);
+}
+
+// --- Adversarial input: frames and request payloads --------------------------
+
+// Seeded, deterministic mutation loop over the daemon's two parsers of
+// untrusted bytes: FrameDecoder, then parse_request on every request frame
+// that comes out. Each input is a well-formed frame (or two) mutated by bit
+// flips, truncation, length-field edits, oversize declarations and byte
+// splices, fed in random chunks. Every next() must end in a frame, a wait for
+// more bytes, or an error (and stay in error once there); parse_request must
+// return a request or a reason, never throw.
+TEST(FrameFuzz, MutatedFramesEndInAFrameOrAnError) {
+  constexpr std::size_t kMaxPayload = 4096;
+  constexpr int kInputsPerSeed = 100000;
+  const std::vector<std::string> corpus = {
+      svc::encode_frame(svc::FrameType::kRequest,
+                        R"({"id":"1","model":"module m { var x : 0..3; init x = 0; }",)"
+                        R"("props":["safe","live"],"engine":"kinduction","depth":30,)"
+                        R"("timeout":5.5,"optimize":false,"abstract":true})"),
+      svc::encode_frame(svc::FrameType::kRequest, R"({"id":7,"model":"m","props":[]})"),
+      svc::encode_frame(svc::FrameType::kPeerGet,
+                        R"({"key":"0123456789abcdef0123456789abcdef"})"),
+      svc::encode_frame(svc::FrameType::kDone, R"({"type":"done","id":"1"})"),
+  };
+  for (const std::uint64_t seed : {1u, 2u}) {
+    std::mt19937_64 rng(seed);
+    const auto below = [&](std::size_t n) {
+      return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+    };
+    std::size_t frames = 0, errors = 0, requests = 0, rejected_requests = 0, throws = 0;
+    for (int input = 0; input < kInputsPerSeed; ++input) {
+      std::string bytes = corpus[below(corpus.size())];
+      if (below(4) == 0) bytes += corpus[below(corpus.size())];  // pipelined
+      switch (below(5)) {
+        case 0:  // bit flips
+          for (std::size_t n = 1 + below(4); n > 0; --n)
+            bytes[below(bytes.size())] ^= static_cast<char>(1u << below(8));
+          break;
+        case 1:  // truncation
+          bytes.resize(below(bytes.size()));
+          break;
+        case 2:  // length-field edit: off by a little, or any 32-bit value
+          if (below(2) == 0) {
+            bytes[4] = static_cast<char>(bytes[4] + static_cast<char>(below(5)) - 2);
+          } else {
+            for (int i = 4; i < 8; ++i) bytes[i] = static_cast<char>(rng());
+          }
+          break;
+        case 3: {  // oversize declaration
+          const std::uint32_t len = kMaxPayload + 1 + static_cast<std::uint32_t>(below(1u << 20));
+          for (int i = 0; i < 4; ++i) bytes[4 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+          break;
+        }
+        default: {  // splice random bytes in
+          const std::size_t at = below(bytes.size() + 1);
+          std::string junk(1 + below(8), '\0');
+          for (char& c : junk) c = static_cast<char>(rng());
+          bytes.insert(at, junk);
+          break;
+        }
+      }
+      svc::FrameDecoder decoder(kMaxPayload);
+      bool poisoned = false;
+      for (std::size_t off = 0; off < bytes.size();) {
+        const std::size_t n = 1 + below(bytes.size() - off);
+        decoder.feed(bytes.data() + off, n);
+        off += n;
+        for (;;) {
+          svc::FrameDecoder::Result result = decoder.next();
+          if (result.status == svc::FrameDecoder::Status::kNeedMore) {
+            ASSERT_FALSE(poisoned) << "decoder left its error state";
+            break;
+          }
+          if (result.status == svc::FrameDecoder::Status::kError) {
+            ASSERT_FALSE(result.error.empty());
+            ++errors;
+            poisoned = true;
+            break;
+          }
+          ASSERT_FALSE(poisoned) << "decoder left its error state";
+          ASSERT_LE(result.frame.payload.size(), kMaxPayload);
+          ++frames;
+          if (result.frame.type != svc::FrameType::kRequest) continue;
+          ++requests;
+          try {
+            svc::WireRequest request;
+            if (!svc::parse_request(result.frame.payload, request).empty())
+              ++rejected_requests;
+          } catch (...) {
+            ++throws;
+          }
+        }
+        if (poisoned) break;
+      }
+    }
+    EXPECT_EQ(throws, 0u) << "seed " << seed;
+    // The mix reaches every outcome: decoded frames, framing errors, and
+    // request payloads both accepted and rejected.
+    EXPECT_GT(frames, 0u) << "seed " << seed;
+    EXPECT_GT(errors, 0u) << "seed " << seed;
+    EXPECT_GT(rejected_requests, 0u) << "seed " << seed;
+    EXPECT_LT(rejected_requests, requests) << "seed " << seed;
+  }
+}
+
+TEST(Protocol, ParseRequestRejectsOutOfRangeAndHostileFields) {
+  const std::string deep = std::string(100000, '[') + std::string(100000, ']');
+  for (const std::string& payload : {
+           std::string(""), std::string("[]"), std::string("\"model\""),
+           std::string(R"({"model":""})"), std::string(R"({"model":"m","engine":"z3"})"),
+           std::string(R"({"model":"m","depth":-1})"),
+           std::string(R"({"model":"m","depth":3e9})"),
+           std::string(R"({"model":"m","depth":1e999})"),
+           std::string(R"({"model":"m","timeout":1e12})"),
+           std::string(R"({"model":"m","props":[1]})"),
+           R"({"model":"m","props":)" + deep + "}",
+       }) {
+    svc::WireRequest request;
+    EXPECT_FALSE(svc::parse_request(payload, request).empty()) << payload.substr(0, 40);
+  }
+  svc::WireRequest request;
+  ASSERT_EQ(svc::parse_request(R"({"id":3,"model":"m","depth":7,"timeout":-1})", request), "");
+  EXPECT_EQ(request.id, "3");
+  EXPECT_EQ(request.depth, 7);
+  EXPECT_EQ(request.timeout, 0.0);
+  EXPECT_FALSE(request.props.has_value());
 }
 
 // --- Batched session dispatch ------------------------------------------------
@@ -770,6 +901,30 @@ TEST(ServiceBatch, OnCompleteFiresExactlyOnceIncludingRejects) {
   EXPECT_GE(rejected, 1);  // queue_limit 1 under an 8-deep burst must bounce
 }
 
+TEST(ServiceBatch, CompletedBatchesAreFreed) {
+  // A batch owns its members and each member refers back to its batch; the
+  // back-reference must not keep the batch alive. The request's on_complete
+  // holds a sentinel, so once the service is gone nothing may still own it.
+  const ts::TransitionSystem sys = counter_system("batch_free");
+  const expr::Expr x = expr::var_by_name("batch_free.x");
+  const auto sentinel = std::make_shared<int>(0);
+  {
+    svc::ServiceOptions options;
+    options.jobs = 1;
+    options.batch_window_seconds = 0.002;
+    svc::Service service(options);
+    svc::CheckRequest request;
+    request.system = &sys;
+    request.property = ltl::G(ltl::atom(x <= 7));
+    request.engine = core::Engine::kKInduction;
+    request.max_depth = 10;
+    request.on_complete = [sentinel] {};
+    EXPECT_EQ(service.submit(request).wait().outcome.verdict, core::Verdict::kHolds);
+    EXPECT_EQ(service.batches_formed(), 1u);
+  }
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
 TEST(ServiceBatch, BatchSystemNotReadAfterAnyMemberCompletes) {
   // Two fingerprint-equal but DISTINCT system objects (the daemon produces
   // these when model-LRU eviction re-parses the same text) coalesce into one
@@ -849,9 +1004,36 @@ TEST(ServiceBatch, DuplicatePropertiesInOneBatchReportIndividualCacheHits) {
   EXPECT_EQ(service.batches_formed(), 2u);
 }
 
-// --- Daemon wire modes and message bounds ------------------------------------
+// --- Daemon framing errors and message bounds --------------------------------
 
-TEST(Daemon, ServesBinaryAndNdjsonClientsOnOneSocket) {
+// Connects to `sock`, writes `bytes`, and reads until the daemon closes the
+// connection. Returns everything the daemon sent.
+std::string raw_exchange(const std::string& sock, const std::string& bytes) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0 || ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error("cannot connect to " + sock);
+  }
+  if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(bytes.size())) {
+    ::close(fd);
+    throw std::runtime_error("short send");
+  }
+  std::string received;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;  // closed by the daemon
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return received;
+}
+
+TEST(Daemon, RejectsJsonLineClientAndServesTheNext) {
   const mdl::VmlModel model = mdl::parse_vml(kDaemonModel);
   char sock_dir[] = "/tmp/svc_test.XXXXXX";
   ASSERT_NE(::mkdtemp(sock_dir), nullptr);
@@ -864,15 +1046,28 @@ TEST(Daemon, ServesBinaryAndNdjsonClientsOnOneSocket) {
   svc::Daemon daemon(options);
   std::thread server([&] { daemon.serve(); });
 
+  // A client writing a JSON line instead of a frame gets one error frame
+  // (bad magic, counted in svc.frames_rejected) and a closed connection.
+  const std::uint64_t rejected_before = obs::counter("svc.frames_rejected").load();
+  const std::string reply =
+      raw_exchange(sock, R"({"id":"1","model":"x","props":["bound_ok"]})" "\n");
+  EXPECT_EQ(obs::counter("svc.frames_rejected").load(), rejected_before + 1);
+  svc::FrameDecoder decoder;
+  decoder.feed(reply);
+  const svc::FrameDecoder::Result error = decoder.next();
+  ASSERT_EQ(error.status, svc::FrameDecoder::Status::kFrame);
+  EXPECT_EQ(error.frame.type, svc::FrameType::kError);
+  EXPECT_NE(error.frame.payload.find("magic"), std::string::npos) << error.frame.payload;
+  EXPECT_EQ(decoder.next().status, svc::FrameDecoder::Status::kNeedMore);
+
+  // Binary clients that come next are served, concurrently.
   constexpr int kClients = 4;
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       try {
-        svc::ClientOptions client_options;
-        client_options.binary = (c % 2 == 0);  // both wires, same daemon
-        svc::Client client(sock, client_options);
+        svc::Client client(sock);
         for (int round = 0; round < 2; ++round) {
           const std::vector<svc::ClientVerdict> verdicts = client.check(
               kDaemonModel, {"bound_ok", "never_two"}, core::Engine::kKInduction,
@@ -903,7 +1098,7 @@ TEST(Daemon, ServesBinaryAndNdjsonClientsOnOneSocket) {
   ::rmdir(sock_dir);
 }
 
-TEST(Daemon, RejectsOversizedMessagesInBothWireModes) {
+TEST(Daemon, RejectsOversizedFrames) {
   char sock_dir[] = "/tmp/svc_test.XXXXXX";
   ASSERT_NE(::mkdtemp(sock_dir), nullptr);
   const std::string sock = std::string(sock_dir) + "/d.sock";
@@ -917,19 +1112,18 @@ TEST(Daemon, RejectsOversizedMessagesInBothWireModes) {
 
   // A "model" comfortably over the limit but small enough to fit in the
   // socket buffers, so the client reliably reads the error response.
-  const std::string big_model(4096, 'x');
-  for (const bool binary : {false, true}) {
-    svc::ClientOptions client_options;
-    client_options.binary = binary;
-    svc::Client client(sock, client_options);
+  const std::uint64_t rejected_before = obs::counter("svc.frames_rejected").load();
+  {
+    svc::Client client(sock);
     try {
-      (void)client.check(big_model, {}, core::Engine::kAuto, 10, 0.0);
-      ADD_FAILURE() << "oversized request was not rejected (binary=" << binary << ")";
+      (void)client.check(std::string(4096, 'x'), {}, core::Engine::kAuto, 10, 0.0);
+      ADD_FAILURE() << "oversized request was not rejected";
     } catch (const std::runtime_error& error) {
       EXPECT_NE(std::string(error.what()).find("limit"), std::string::npos)
           << error.what();
     }
   }
+  EXPECT_EQ(obs::counter("svc.frames_rejected").load(), rejected_before + 1);
 
   // The daemon is still healthy and serves a well-formed request.
   {

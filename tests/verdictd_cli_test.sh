@@ -17,10 +17,9 @@ CACHE="$TMP/cache.ndjson"
 DAEMON_PID=""
 SHARD1_PID=""
 SHARD2_PID=""
-ROUTER_PID=""
 
 cleanup() {
-  for pid in "$DAEMON_PID" "$SHARD1_PID" "$SHARD2_PID" "$ROUTER_PID"; do
+  for pid in "$DAEMON_PID" "$SHARD1_PID" "$SHARD2_PID"; do
     if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
       kill -KILL "$pid" 2>/dev/null || true
     fi
@@ -95,23 +94,13 @@ grep -q "holds" "$TMP/cold.txt" || fail "cold run must print holds verdicts"
 grep -q "served from verdictd cache" "$TMP/cold.txt" && \
   fail "cold run must not claim cache hits"
 
-# Warm run: same request is served from the daemon's verdict cache. Default
-# wire is the binary framing.
+# Warm run: same request is served from the daemon's verdict cache.
 rc=0
 "$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --engine pdr \
   > "$TMP/warm.txt" 2>&1 || rc=$?
 expect_exit 0 "$rc" "warm served run"
 grep -q "served from verdictd cache" "$TMP/warm.txt" || \
   fail "warm run must be served from the verdict cache"
-
-# The same exchange over the NDJSON debug wire: auto-detected by the daemon
-# on the same socket, same verdicts, same cache hits.
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --wire ndjson \
-  --engine pdr > "$TMP/warm_ndjson.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "warm NDJSON-wire run"
-grep -q "served from verdictd cache" "$TMP/warm_ndjson.txt" || \
-  fail "NDJSON-wire run must be served from the verdict cache"
 
 # A violated property round-trips its counterexample over the socket and is
 # re-confirmed client-side; aggregate exit code stays 1.
@@ -189,7 +178,7 @@ grep -q "prior verdict(s) for incremental reuse" "$TMP/daemon.txt" && \
 stop_daemon
 
 # ---------------------------------------------------------------------------
-# Sharded cluster: peer fetch, crash degradation, segment recovery, router.
+# Sharded cluster: peer fetch, crash degradation, segment recovery.
 # (docs/sharding.md end to end through the real binaries.)
 # ---------------------------------------------------------------------------
 S1="$TMP/shard1.sock"
@@ -209,11 +198,6 @@ rc=0
 expect_exit 0 "$rc" "verdictc --shard-of"
 grep -q -- "-> shard" "$TMP/shardof.txt" || \
   fail "--shard-of must print a ring assignment per property"
-
-# --route without --cluster is a usage error.
-rc=0
-"$VERDICTD" --route --socket "$TMP/r.sock" > /dev/null 2>&1 || rc=$?
-expect_exit 2 "$rc" "verdictd --route without --cluster"
 
 SHARD1_PID="$(start_shard "$S1" "$TMP/shard1.seg" shard1)"
 SHARD2_PID="$(start_shard "$S2" "$TMP/shard2.seg" shard2)"
@@ -242,18 +226,6 @@ rc=0
 expect_exit 0 "$rc" "warm run via shard 2"
 grep -q "served from verdictd cache" "$TMP/shard_warm.txt" || \
   fail "shard 2 must serve the cluster-warm verdicts without recomputing"
-
-# The router in front of the same cluster: one socket, identical verdicts.
-"$VERDICTD" --route --socket "$TMP/router.sock" --cluster "$CLUSTER" \
-  > "$TMP/router.txt" 2>&1 &
-ROUTER_PID=$!
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$TMP/router.sock" \
-  --connect-timeout 10 --engine pdr > "$TMP/routed.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "run through the router"
-grep -q "holds" "$TMP/routed.txt" || fail "routed run must print holds verdicts"
-stop_pid "$ROUTER_PID"
-ROUTER_PID=""
 
 # Kill shard 1 outright (no drain, no snapshot). The cluster degrades, it
 # does not fail: shard 2 keeps serving its warm set, and requests whose ring

@@ -19,7 +19,7 @@
 # down on exit. Daemons are keyed by socket path: a later example reusing a
 # path replaces that daemon only, while examples on other paths keep their
 # daemons running — multi-shard walkthroughs (docs/sharding.md) background a
-# whole cluster plus its router. Without a verdictd argument those examples
+# whole cluster. Without a verdictd argument those examples
 # are skipped.
 #
 # Usage: check_docs_examples.sh <verdictc> <verdict-report> <repo-root> \
@@ -175,7 +175,7 @@ while IFS="$(printf '\t')" read -r source cmd; do
           # A backgrounded daemon example: start it, then wait for its
           # --socket path so the --connect examples that follow have a live
           # server. Keyed by socket path — reusing a path replaces that
-          # daemon, other daemons (shards, the router) keep running.
+          # daemon, other daemons (the other shards) keep running.
           sock=$(printf '%s\n' "$cmd" | sed -n 's/.*--socket \([^ ]*\).*/\1/p')
           [ -n "$sock" ] || fail "[$source] daemon example without --socket: $cmd"
           # A hard-killed predecessor leaves a stale socket file; make sure

@@ -37,8 +37,6 @@
 //                          exit codes, and printing are identical; repeated
 //                          requests hit the daemon's verdict cache). CTL
 //                          properties are still checked locally (BDD engine).
-//   --wire MODE            with --connect: "binary" (default; length-prefixed
-//                          frames, svc/frame.h) or "ndjson" (debug mode)
 //   --connect-timeout SECS with --connect: keep retrying the connect with
 //                          exponential backoff while verdictd is starting
 //                          (ECONNREFUSED/ENOENT) for up to SECS (default 0:
@@ -116,7 +114,6 @@ struct Options {
   std::string trace_out;   // when set, stream NDJSON engine events here
   std::string connect;     // when set, check LTL props via verdictd at this socket
   std::string shard_of;    // when set, print ring owners for a cluster spec
-  bool wire_binary = true;        // --wire binary|ndjson
   double connect_timeout = 0.0;   // --connect-timeout: connect retry window
   double io_timeout = 0.0;        // --io-timeout: per-read/write socket bound
 };
@@ -141,7 +138,6 @@ struct Options {
                "  --stats-json FILE  write run results as JSON (verdict-stats-v1)\n"
                "  --trace-out FILE   stream structured engine events as NDJSON\n"
                "  --connect SOCK     check LTL properties via verdictd at SOCK\n"
-               "  --wire MODE        with --connect: binary (default) | ndjson\n"
                "  --connect-timeout SECS  retry connect while verdictd starts\n"
                "  --io-timeout SECS  bound each socket read/write (size to the\n"
                "                     slowest single check; default: unbounded)\n"
@@ -234,16 +230,6 @@ Options parse_args(int argc, char** argv) {
       options.connect = value();
     } else if (arg == "--shard-of") {
       options.shard_of = value();
-    } else if (arg == "--wire") {
-      const std::string mode = value();
-      if (mode == "binary") {
-        options.wire_binary = true;
-      } else if (mode == "ndjson") {
-        options.wire_binary = false;
-      } else {
-        std::fprintf(stderr, "--wire must be 'binary' or 'ndjson'\n");
-        usage(argv[0], 2);
-      }
     } else if (arg == "--connect-timeout") {
       options.connect_timeout = std::atof(value().c_str());
       if (options.connect_timeout < 0) {
@@ -450,7 +436,6 @@ int main(int argc, char** argv) {
         std::stringstream model_text;
         model_text << model_in.rdbuf();
         svc::ClientOptions client_options;
-        client_options.binary = options.wire_binary;
         client_options.connect_wait_seconds = options.connect_timeout;
         // Deliberately NOT defaulted from --connect-timeout: a check that
         // runs longer than the connect window produces no socket bytes for

@@ -9,7 +9,6 @@
 //
 // Usage:
 //   verdictd --socket PATH [options]
-//   verdictd --route --socket PATH --cluster SPEC [options]
 //
 // Options:
 //   --socket PATH       Unix-domain socket to listen on (required)
@@ -26,23 +25,19 @@
 //                       cluster (this daemon's --socket must be one of
 //                       them): enables the consistent-hash ring and the
 //                       PEER_GET/PEER_PUT tier (docs/sharding.md)
-//   --route             run as the cluster router instead of a shard:
-//                       splice each connection on --socket to a live shard
-//                       from --cluster (round-robin, skipping dead shards)
 //   --batch-window MS   coalescing window in milliseconds: requests arriving
 //                       within it that share a (model, engine, depth,
 //                       deadline-class) fingerprint are verified as ONE
 //                       shared session run (default 2; 0 disables batching)
 //   --batch-max N       max requests per batch (default 16)
-//   --max-message BYTES reject inbound frames/lines larger than this
+//   --max-message BYTES reject inbound frames larger than this
 //                       (default 8 MiB)
 //   --trace-out FILE    stream structured events to FILE as NDJSON
 //   --quiet             no startup/shutdown banner
 //   --version           print version (git SHA, build type, Z3) and exit
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish in-flight
-// verdicts, persist the cache, exit 0. (The router exits immediately — it
-// holds no state worth draining.)
+// verdicts, persist the cache, exit 0.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -56,24 +51,20 @@
 #include "smt/solver.h"
 #include "svc/daemon.h"
 #include "svc/peer.h"
-#include "svc/ring.h"
 #include "util/version.h"
 
 namespace {
 
 verdict::svc::Daemon* g_daemon = nullptr;
-verdict::svc::Router* g_router = nullptr;
 
 void handle_signal(int) {
-  // Both request_stop()s are async-signal-safe (one self-pipe write each).
+  // request_stop() is async-signal-safe (one self-pipe write).
   if (g_daemon != nullptr) g_daemon->request_stop();
-  if (g_router != nullptr) g_router->request_stop();
 }
 
 [[noreturn]] void usage(const char* argv0, int code) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [options]\n"
-               "       %s --route --socket PATH --cluster SPEC [options]\n"
                "  --socket PATH       Unix-domain socket to listen on\n"
                "  --jobs N            worker threads (0 = all hardware threads)\n"
                "  --queue-limit N     max in-flight requests before rejecting (64)\n"
@@ -81,14 +72,13 @@ void handle_signal(int) {
                "  --cache-file FILE   persistent verdict store (NDJSON)\n"
                "  --segment-file FILE mmap'd crash-safe verdict segment\n"
                "  --cluster SPEC      comma-separated shard socket paths\n"
-               "  --route             run as the cluster router for --cluster\n"
                "  --batch-window MS   session-batching window, ms (2; 0 = off)\n"
                "  --batch-max N       max requests per batch (16)\n"
-               "  --max-message BYTES inbound message size limit (8388608)\n"
+               "  --max-message BYTES inbound frame payload limit (8388608)\n"
                "  --trace-out FILE    stream structured events as NDJSON\n"
                "  --quiet             no startup/shutdown banner\n"
                "  --version           print version and exit\n",
-               argv0, argv0);
+               argv0);
   std::exit(code);
 }
 
@@ -104,7 +94,6 @@ int main(int argc, char** argv) {
   options.service.batch_window_seconds = 0.002;
   std::string trace_out;
   std::string cluster;
-  bool route = false;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -127,8 +116,6 @@ int main(int argc, char** argv) {
       options.service.segment_file = value();
     } else if (arg == "--cluster") {
       cluster = value();
-    } else if (arg == "--route") {
-      route = true;
     } else if (arg == "--batch-window") {
       options.service.batch_window_seconds = std::atof(value().c_str()) / 1000.0;
     } else if (arg == "--batch-max") {
@@ -150,42 +137,12 @@ int main(int argc, char** argv) {
     }
   }
   if (options.socket_path.empty()) usage(argv[0], 2);
-  if (route && cluster.empty()) {
-    std::fprintf(stderr, "verdictd: --route requires --cluster\n");
-    usage(argv[0], 2);
-  }
-  if (!cluster.empty() && !route) {
+  if (!cluster.empty()) {
     // A shard joins the ring under its own socket path; the ring is only
-    // shared if every shard (and the router, and verdictc --shard-of) was
-    // given the identical spec.
+    // shared if every shard (and verdictc --shard-of) was given the
+    // identical spec.
     options.service.cluster = cluster;
     options.service.self_id = options.socket_path;
-  }
-
-  // Router mode: no engines, no cache, no Service — one epoll splice loop.
-  if (route) {
-    try {
-      svc::RouterOptions router_options;
-      router_options.socket_path = options.socket_path;
-      router_options.backends = svc::Ring::from_spec(cluster).nodes();
-      svc::Router router(router_options);
-      g_router = &router;
-      std::signal(SIGTERM, handle_signal);
-      std::signal(SIGINT, handle_signal);
-      if (!quiet)
-        std::printf("verdictd: routing %s across %zu shard(s)\n",
-                    options.socket_path.c_str(), router_options.backends.size());
-      std::fflush(stdout);
-      router.serve();
-      if (!quiet)
-        std::printf("verdictd: router stopped (%llu connection(s) routed); bye\n",
-                    static_cast<unsigned long long>(router.connections_routed()));
-      g_router = nullptr;
-      return 0;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "verdictd: %s\n", error.what());
-      return 2;
-    }
   }
 
   std::unique_ptr<obs::TraceSink> trace_sink;
