@@ -10,6 +10,13 @@
 //     fattree12 even the violation search times out ("the model checker
 //     times out for any k on fattree12").
 //
+// The violation line is run twice: raw BMC (the paper's column) and through
+// core::check with its defaults, which decides on the counting quotient and
+// concretizes the abstract trace from its witness set (docs/abstraction.md).
+// Every trace of the second run is replayed on the concrete system, and it
+// must decide the test topology and fattree4..8 inside the budget (exit code);
+// fattree10 and up are reported only.
+//
 // This bench additionally runs every verification point twice — once through
 // the abs/ symmetry-reduction pass (docs/abstraction.md) and once with
 // --no-abs semantics — and *enforces* the subsystem's reason to exist via the
@@ -37,6 +44,8 @@ struct TopologyCase {
   std::string name;
   int fat_tree_k;  // 0 = the 5-node test topology
   std::int64_t failing_k;
+  /// The quotient violation row must decide this topology in the budget.
+  bool quotient_gated;
 };
 
 verdict::scenarios::RolloutPartitionScenario build(const TopologyCase& tc) {
@@ -59,23 +68,26 @@ int main() {
   bench::JsonRows rows("fig6_scalability");
 
   std::vector<TopologyCase> cases = {
-      {"test", 0, 2},      {"fattree4", 4, 2},   {"fattree6", 6, 3},
-      {"fattree8", 8, 4},  {"fattree10", 10, 5},
+      {"test", 0, 2, true},     {"fattree4", 4, 2, true},    {"fattree6", 6, 3, true},
+      {"fattree8", 8, 4, true}, {"fattree10", 10, 5, false},
   };
   if (bench::smoke()) cases.resize(1);
   if (bench::full_sweep()) {
-    cases.push_back({"fattree12", 12, 6});
-    cases.push_back({"fattree14", 14, 7});
-    cases.push_back({"fattree16", 16, 8});
+    cases.push_back({"fattree12", 12, 6, false});
+    cases.push_back({"fattree14", 14, 7, false});
+    cases.push_back({"fattree16", 16, 8, false});
   }
 
   // The exit-code gate: the abstraction engine earns its keep only if some
   // topology size verifies through the counting quotient while the concrete
   // engines blow the same budget on the same point.
   bool gate_hit = false;
+  // The quotient violation gate: every gated topology decides its cut point
+  // through core::check with a trace that replays.
+  bool quotient_gate = true;
 
-  std::printf("%-10s %8s | %-26s | %-8s %s\n", "topology", "n/links",
-              "violation (k=cut)", "mode",
+  std::printf("%-10s %8s | %-26s | %-17s | %-8s %s\n", "topology", "n/links",
+              "violation (k=cut)", "core::check", "mode",
               "verification k=0 / k=1 / ... (abs: every k below the cut; concrete: k<=2)");
   for (const TopologyCase& tc : cases) {
     const auto scenario = build(tc);
@@ -106,6 +118,36 @@ int main() {
         w.kv("completed", violated);
         w.kv("seconds", outcome.stats.seconds);
       });
+
+      // The same point through core::check's defaults (the quotient first),
+      // timed by wall clock like the abs verification row.
+      core::CheckOptions check;
+      check.deadline = util::Deadline::after_seconds(budget);
+      util::Stopwatch sw;
+      const auto quotient = core::check(system, scenario.property, check);
+      const double wall = sw.elapsed_seconds();
+      std::string error;
+      const bool decided = quotient.verdict == core::Verdict::kViolated;
+      const bool replayed =
+          decided && core::confirm_counterexample(system, scenario.property, quotient, &error);
+      if (replayed) {
+        std::printf(" | %7.2fs replayed", wall);
+      } else if (decided) {
+        std::printf(" | REPLAY FAILED    ");
+      } else {
+        std::printf(" | %-8s  >%5.0fs", core::verdict_name(quotient.verdict), budget);
+      }
+      if (tc.quotient_gated && !replayed) {
+        quotient_gate = false;
+        if (decided) std::fprintf(stderr, "%s: %s\n", tc.name.c_str(), error.c_str());
+      }
+      rows.row([&](obs::JsonWriter& w) {
+        w.kv("topology", tc.name);
+        w.kv("mode", "violation_check");
+        w.kv("k", tc.failing_k);
+        w.kv("completed", replayed);
+        w.kv("seconds", wall);
+      });
     }
 
     // --- Verification lines (property holds): the abstracted row covers
@@ -117,7 +159,7 @@ int main() {
       if (abstracted)
         std::printf(" | %-8s ", "abs");
       else
-        std::printf("%49s | %-8s ", "", "concrete");
+        std::printf("%66s | %-8s ", "", "concrete");
       const std::int64_t k_end = abstracted ? tc.failing_k : 3;
       for (std::int64_t k = 0; k < k_end; ++k) {
         if (k >= tc.failing_k) {
@@ -165,6 +207,11 @@ int main() {
   if (!bench::full_sweep())
     std::printf("fattree12/14/16 (past the paper's exponential wall) are enabled with "
                 "VERDICT_BENCH_FULL=1.\n");
+  if (!quotient_gate) {
+    std::printf("GATE FAILED: core::check did not decide a gated violation point with a "
+                "replayed trace inside the budget.\n");
+    return 1;
+  }
   if (bench::smoke()) return 0;  // canary run: the tiny topology decides nothing
   if (!gate_hit) {
     std::printf("GATE FAILED: no topology size where abstraction completes and the "

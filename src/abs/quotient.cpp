@@ -153,6 +153,7 @@ class Builder {
       rec.orbit = ctx.orbit;
       rec.domain = ctx.domain;
       rec.counters = ctx.counters;
+      rec.init_index = ctx.init_index;
       rec.strengthened_guard = ctx.strengthened_guard;
       rec.threshold = ctx.threshold;
       rec.justification = ctx.notes;

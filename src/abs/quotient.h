@@ -56,6 +56,9 @@ struct OrbitAbstraction {
   Orbit orbit;
   std::vector<expr::Value> domain;    // member domain, in order
   std::vector<expr::Expr> counters;   // counter variable per domain value
+  /// Domain index of the value every member starts at, when init fixes one
+  /// uniformly (the value deviations are counted from).
+  std::optional<std::size_t> init_index;
   /// Valid when the property was threshold-strengthened over this orbit:
   /// the counter-space predicate substituted for the member subformulas.
   expr::Expr strengthened_guard;

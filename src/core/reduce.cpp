@@ -6,6 +6,7 @@
 #include "core/explicit.h"
 #include "expr/eval.h"
 #include "obs/trace.h"
+#include "smt/solver.h"
 
 namespace verdict::core {
 
@@ -49,6 +50,72 @@ bool refine_split(const abs::Abstraction& abstraction, const CheckOutcome& abstr
   sym.forced_split.emplace_back(members.begin(), members.begin() + half);
   sym.forced_split.emplace_back(members.begin() + half, members.end());
   return true;
+}
+
+/// Half of what remains of `deadline`, for a phase that must leave the rest
+/// to the phases after it.
+util::Deadline half_remaining(const util::Deadline& deadline) {
+  return deadline.is_finite() ? deadline.clipped_to(deadline.remaining_seconds() / 2)
+                              : deadline;
+}
+
+/// What the final state of an abstract trace says about the concrete system.
+struct Witness {
+  /// No concrete state with the trace's member counts violates the property.
+  bool spurious = false;
+  /// `ts` with every member outside the witness set pinned to its initial
+  /// value; none when the query is undecided or pins nothing.
+  std::optional<ts::TransitionSystem> pinned;
+};
+
+/// The witness query (docs/abstraction.md): one combinational query for a
+/// concrete state of `ts` that violates `property` with exactly the member
+/// counts of `last`, the abstract trace's final state. The pinned copy only
+/// adds invariants to `ts`, so each of its traces is a trace of `ts`.
+Witness find_witness(const ts::TransitionSystem& ts, const abs::Abstraction& abstraction,
+                     const ts::State& last, const ltl::Formula& property,
+                     const util::Deadline& deadline) {
+  smt::Solver solver;
+  solver.add(ts.range_invariant(), 0);
+  for (const expr::Expr c : ts.invar_constraints()) solver.add(c, 0);
+  for (const expr::Expr c : ts.param_constraints()) solver.add(c, 0);
+  solver.add(expr::mk_not(ltl::invariant_atom(property)), 0);
+  for (const abs::OrbitAbstraction& o : abstraction.orbits) {
+    const auto n = static_cast<std::int64_t>(o.orbit.members.size());
+    const expr::Type type = o.orbit.members.front().type();
+    for (std::size_t d = 0; d < o.domain.size(); ++d) {
+      const std::optional<expr::Value> count = last.get(o.counters[d]);
+      if (!count) continue;
+      const std::int64_t c = std::get<std::int64_t>(*count);
+      const expr::Expr value = expr::constant_of(o.domain[d], type);
+      std::vector<expr::Expr> is_d;
+      std::vector<expr::Expr> not_d;
+      for (const expr::Expr m : o.orbit.members) {
+        is_d.push_back(expr::mk_eq(m, value));
+        not_d.push_back(expr::mk_not(is_d.back()));
+      }
+      solver.add(solver.at_most(is_d, 0, static_cast<unsigned>(c)));
+      solver.add(solver.at_most(not_d, 0, static_cast<unsigned>(n - c)));
+    }
+  }
+  Witness witness;
+  const smt::CheckResult result = solver.check(deadline);
+  witness.spurious = result == smt::CheckResult::kUnsat;
+  if (result != smt::CheckResult::kSat) return witness;
+  ts::TransitionSystem pinned = ts;
+  bool any = false;
+  for (const abs::OrbitAbstraction& o : abstraction.orbits) {
+    if (!o.init_index) continue;
+    const expr::Value& d0 = o.domain[*o.init_index];
+    const expr::Expr pin = expr::constant_of(d0, o.orbit.members.front().type());
+    for (const expr::Expr m : o.orbit.members) {
+      if (solver.value_of(m, 0) != d0) continue;
+      pinned.add_invar(expr::mk_eq(m, pin));
+      any = true;
+    }
+  }
+  if (any) witness.pinned = std::move(pinned);
+  return witness;
 }
 
 std::string quotient_message(const abs::Abstraction& abstraction, const std::string& detail) {
@@ -99,8 +166,7 @@ std::vector<CheckOutcome> check_quotient(const ts::TransitionSystem& ts,
     if (inner.engine == Engine::kAuto) inner.engine = Engine::kKInduction;
     // Same split as kAuto's PDR/BMC budget: the quotient attempt must leave
     // room for concretization and the concrete fallback.
-    if (options.deadline.is_finite())
-      inner.deadline = options.deadline.clipped_to(options.deadline.remaining_seconds() / 2);
+    inner.deadline = half_remaining(options.deadline);
     std::vector<CheckOutcome> quotient =
         decide(abstraction->system, abstraction->properties, inner);
 
@@ -120,22 +186,45 @@ std::vector<CheckOutcome> check_quotient(const ts::TransitionSystem& ts,
       }
       if (q.verdict != Verdict::kViolated) continue;  // inconclusive quotient
       // Concretize: hunt for a concrete violation within the abstract trace's
-      // depth. BMC is complete at a fixed bound, so kBoundReached here is a
-      // definitive "no concrete counterpart": the abstract trace is spurious.
+      // depth, first among the witness set's members only, then unguided.
+      // BMC is complete at a fixed bound, so kBoundReached from the unguided
+      // run is a definitive "no concrete counterpart": the trace is spurious.
       CheckOptions bmc = options;
       bmc.engine = Engine::kBmc;
       bmc.max_depth = q.counterexample ? static_cast<int>(q.counterexample->length())
                                        : options.max_depth;
       bmc.optimize = false;
       bmc.abstract = false;
-      CheckOutcome conc = std::move(decide(ts, properties.subspan(i, 1), bmc).front());
-      out[i].stats.merge(conc.stats);
-      if (conc.verdict == Verdict::kViolated) {
-        conc.stats = out[i].stats;
-        out[i] = std::move(conc);
+      Witness witness;
+      if (q.counterexample && !q.counterexample->states.empty())
+        witness = find_witness(ts, *abstraction, q.counterexample->states.back(), properties[i],
+                               half_remaining(options.deadline));
+      std::optional<CheckOutcome> conc;
+      if (witness.pinned) {
+        // The optimizer folds the pins into constants.
+        CheckOptions guided = bmc;
+        guided.optimize = true;
+        CheckOutcome run =
+            std::move(decide(*witness.pinned, properties.subspan(i, 1), guided).front());
+        out[i].stats.merge(run.stats);
+        if (run.verdict == Verdict::kViolated &&
+            confirm_counterexample(ts, properties[i], run)) {
+          obs::count("abs.guided_concretizations");
+          conc = std::move(run);
+        } else {
+          obs::count("abs.guided_fallbacks");
+        }
+      }
+      if (!conc && !witness.spurious) {
+        conc = std::move(decide(ts, properties.subspan(i, 1), bmc).front());
+        out[i].stats.merge(conc->stats);
+      }
+      if (conc && conc->verdict == Verdict::kViolated) {
+        conc->stats = out[i].stats;
+        out[i] = std::move(*conc);
         continue;
       }
-      if (conc.verdict != Verdict::kBoundReached && conc.verdict != Verdict::kHolds)
+      if (conc && conc->verdict != Verdict::kBoundReached && conc->verdict != Verdict::kHolds)
         continue;  // budget ran out mid-concretization
       obs::count("abs.spurious_traces");
       spurious.push_back(i);
@@ -236,8 +325,7 @@ SynthResult synthesize_optimized(const ts::TransitionSystem& ts, expr::Expr inva
       SynthOptions inner = options;
       inner.prover = SynthProver::kKInduction;
       inner.per_candidate_seconds = options.per_candidate_seconds / 2;
-      if (options.deadline.is_finite())
-        inner.deadline = options.deadline.clipped_to(options.deadline.remaining_seconds() / 2);
+      inner.deadline = half_remaining(options.deadline);
       proven = sweep_optimized(quotient->system, quotient->property(), inner, sweep,
                                /*lift=*/false);
     }

@@ -37,11 +37,16 @@ using Decide = std::function<std::vector<CheckOutcome>(
 /// the invariant-shaped properties when options.abstract is set and the
 /// engine is not kLtlLasso. The quotient is decided with abstract off, kAuto
 /// mapped to kKInduction, and half the remaining budget. A quotient kHolds
-/// transfers without its artifact (it names counter variables); a kViolated
-/// is concretized through `decide` by kBmc on `ts` at the trace's depth, with
-/// both reductions off; a spurious trace splits an orbit, at most twice.
-/// Returns one outcome per property: decided ones are final, the rest are
-/// kUnknown carrying the cost spent, for the caller's concrete path. Counts
+/// transfers without its artifact (it names counter variables). A kViolated
+/// is concretized from its final state's counts: one witness query finds a
+/// violating concrete state with those counts (none: the trace is spurious),
+/// and kBmc at the trace's depth runs through `decide` on `ts` with the
+/// members the witness leaves at their initial value pinned there, optimizer
+/// on. Its trace is kept once it replays on `ts`; otherwise kBmc runs again
+/// on `ts` itself, with both reductions off. A spurious trace splits an
+/// orbit, at most twice. Returns one outcome per property: decided ones are
+/// final, the rest are kUnknown carrying the cost spent, for the caller's
+/// concrete path. Counts abs.guided_concretizations, abs.guided_fallbacks,
 /// abs.spurious_traces, abs.cegar_refinements and abs.fallback_concrete (per
 /// attempted property left undecided).
 [[nodiscard]] std::vector<CheckOutcome> check_quotient(

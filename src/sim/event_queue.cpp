@@ -14,16 +14,27 @@ void EventQueue::schedule_in(double delay, Callback fn) {
   schedule_at(now_ + delay, std::move(fn));
 }
 
+namespace {
+
+/// Re-arming wrapper: each firing schedules a copy of itself. The queued
+/// copy is its only owner, so a wrapper that captured itself (a reference
+/// cycle) is not needed and nothing outlives the queue.
+struct Rearm {
+  EventQueue* queue;
+  double period;
+  std::shared_ptr<const EventQueue::Callback> fn;
+
+  void operator()() const {
+    (*fn)();
+    queue->schedule_in(period, *this);
+  }
+};
+
+}  // namespace
+
 void EventQueue::schedule_every(double period, Callback fn) {
   if (period <= 0) throw std::invalid_argument("EventQueue: non-positive period");
-  // Re-arming wrapper: each firing schedules the next one.
-  auto rearm = std::make_shared<Callback>();
-  auto shared_fn = std::make_shared<Callback>(std::move(fn));
-  *rearm = [this, period, shared_fn, rearm]() {
-    (*shared_fn)();
-    schedule_in(period, *rearm);
-  };
-  schedule_in(period, *rearm);
+  schedule_in(period, Rearm{this, period, std::make_shared<const Callback>(std::move(fn))});
 }
 
 std::size_t EventQueue::run_until(double t_end) {

@@ -137,10 +137,18 @@ std::optional<WireVerdict> wire_verdict_from_json(const obs::JsonValue& line) {
   if (line["seconds"].is_number()) v.seconds = line["seconds"].number;
   if (line["solver_seconds"].is_number())
     v.solver_seconds = line["solver_seconds"].number;
-  if (line["solver_checks"].is_number())
-    v.solver_checks = static_cast<std::size_t>(line["solver_checks"].number);
-  if (line["depth_reached"].is_number())
-    v.depth_reached = static_cast<int>(line["depth_reached"].number);
+  // Range checks before the casts, as in parse_request: an out-of-range
+  // double from a faulty or hostile daemon does not convert.
+  if (line["solver_checks"].is_number()) {
+    const double checks = line["solver_checks"].number;
+    if (!(checks >= 0 && checks <= 9007199254740992.0)) return std::nullopt;  // 2^53
+    v.solver_checks = static_cast<std::size_t>(checks);
+  }
+  if (line["depth_reached"].is_number()) {
+    const double depth = line["depth_reached"].number;
+    if (!(depth >= -1 && depth <= std::numeric_limits<int>::max())) return std::nullopt;
+    v.depth_reached = static_cast<int>(depth);
+  }
   v.cache_hit = line["cache_hit"].boolean;
   v.rejected = line["rejected"].boolean;
   if (line.has("counterexample"))

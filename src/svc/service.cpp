@@ -325,12 +325,29 @@ PendingCheck Service::submit(const CheckRequest& request) {
   PendingCheck pending;
   pending.slot_ = std::make_shared<CheckResponse>();
 
+  // A cache-mediated request whose verdict is already in the LRU is answered
+  // here, before admission: a microsecond hit must not count against the
+  // queue that slow cold work fills.
+  const bool cache_mediated = request.optimize && request.abstract && request.system != nullptr;
+  std::optional<Fingerprint> request_key;
+  std::optional<core::CheckOutcome> hit;
+  if (request.system != nullptr)
+    request_key = fingerprint_request(*request.system, request.property, request.engine,
+                                      request.max_depth);
+  if (cache_mediated) {
+    if (std::optional<CachedVerdict> cached = cache_->probe(*request_key))
+      hit = outcome_from_cached(*cached);
+  }
+
   std::size_t depth = 0;
   bool rejected = false;
   {
     std::lock_guard<std::mutex> lock(inflight_->mu);
     ++inflight_->requests;
-    if (inflight_->draining || inflight_->active >= options_.queue_limit) {
+    if (hit && !inflight_->draining) {
+      pending.slot_->outcome = std::move(*hit);
+      pending.slot_->cache_hit = true;
+    } else if (inflight_->draining || inflight_->active >= options_.queue_limit) {
       ++inflight_->rejected;
       obs::count("svc.rejected");
       pending.slot_->outcome = rejected_outcome();
@@ -340,9 +357,10 @@ PendingCheck Service::submit(const CheckRequest& request) {
       depth = ++inflight_->active;
     }
   }
-  if (rejected) {
+  if (rejected || pending.slot_->cache_hit) {
     // Callback outside the admission lock: on_complete may read Service
     // accessors that take the same mutex.
+    if (pending.slot_->cache_hit) obs::count("svc.requests");
     if (request.on_complete) request.on_complete();
     return pending;  // no handle: wait() returns immediately
   }
@@ -355,8 +373,7 @@ PendingCheck Service::submit(const CheckRequest& request) {
   // are verified as one shared session run. optimize=false / abstract=false
   // requests keep the direct path — their contract is "never answer from the
   // cache".
-  if (batcher_ && request.optimize && request.abstract && request.system != nullptr)
-    return submit_batched(request, pending.slot_);
+  if (batcher_ && cache_mediated) return submit_batched(request, pending.slot_);
 
   // Copies for the closure: the formula and options by value, the system by
   // pointer (the caller guarantees it outlives wait() — see CheckRequest).
@@ -368,8 +385,7 @@ PendingCheck Service::submit(const CheckRequest& request) {
   const bool abstract = request.abstract;
   const util::Deadline deadline = request.deadline;
   const std::function<void()> on_complete = request.on_complete;
-  const Fingerprint key =
-      fingerprint_request(*system, property, engine, max_depth);
+  const Fingerprint key = *request_key;
 
   std::shared_ptr<CheckResponse> slot = pending.slot_;
   Inflight* inflight = inflight_.get();

@@ -173,14 +173,19 @@ VerdictCache::Shard& VerdictCache::shard_for(const Fingerprint& key) const {
 }
 
 std::optional<CachedVerdict> VerdictCache::lookup(const Fingerprint& key) {
+  std::optional<CachedVerdict> hit = probe(key);
+  if (!hit) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    obs::count("svc.cache.miss");
+  }
+  return hit;
+}
+
+std::optional<CachedVerdict> VerdictCache::probe(const Fingerprint& key) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("svc.cache.miss");
-    return std::nullopt;
-  }
+  if (it == shard.index.end()) return std::nullopt;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.cache.hit");

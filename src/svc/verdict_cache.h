@@ -109,6 +109,10 @@ class VerdictCache {
   /// Returns the entry and refreshes its LRU position.
   [[nodiscard]] std::optional<CachedVerdict> lookup(const Fingerprint& key);
 
+  /// lookup() for a caller that goes on to the full lookup on a miss: a hit
+  /// counts as lookup()'s does, a miss is left for that lookup to count.
+  [[nodiscard]] std::optional<CachedVerdict> probe(const Fingerprint& key);
+
   /// Stores a definitive verdict; silently drops non-cacheable ones.
   void insert(const Fingerprint& key, CachedVerdict value);
 

@@ -328,6 +328,85 @@ TEST(Cegar, SessionMatchesOneShotCheck) {
   }
 }
 
+// An abstract violation at the cut is concretized from its witness set: the
+// BMC run guided by the pins decides, and its trace replays on the original
+// system.
+TEST(Cegar, GuidedConcretizationReplays) {
+  scenarios::RolloutPartitionOptions options;
+  options.prefix = "guided6";
+  const auto scenario = scenarios::make_fat_tree_scenario(6, options);
+  const auto system =
+      pinned(scenario.system, {{scenario.p, 1}, {scenario.k, 3}, {scenario.m, 1}});
+  obs::reset_counters();
+  core::CheckOptions check;
+  check.deadline = util::Deadline::after_seconds(60);
+  const auto outcome = core::check(system, scenario.property, check);
+  ASSERT_EQ(outcome.verdict, core::Verdict::kViolated);
+  std::string error;
+  EXPECT_TRUE(core::confirm_counterexample(system, scenario.property, outcome, &error))
+      << error;
+  EXPECT_EQ(counter("abs.guided_concretizations"), 1u);
+  EXPECT_EQ(counter("abs.guided_fallbacks"), 0u);
+}
+
+// Four interchangeable flags and a `seen` bit that a flag sets by going up
+// and coming back down. The only violation, "seen with no flag up", ends with
+// every flag at its initial value, so the witness pins all of them and the
+// guided run cannot reach it: the unguided BMC must still find it.
+TEST(Cegar, GuidedMissFallsBackToBlindBmc) {
+  ts::TransitionSystem sys;
+  std::vector<expr::Expr> flags;
+  for (int i = 0; i < 4; ++i) flags.push_back(expr::bool_var("miss.f" + std::to_string(i)));
+  const expr::Expr seen = expr::bool_var("miss.seen");
+  for (const expr::Expr f : flags) {
+    sys.add_var(f);
+    sys.add_init(expr::mk_not(f));
+  }
+  sys.add_var(seen);
+  sys.add_init(expr::mk_not(seen));
+  const auto keep_others = [&](std::size_t i) {
+    std::vector<expr::Expr> keep;
+    for (std::size_t j = 0; j < flags.size(); ++j)
+      if (j != i) keep.push_back(expr::mk_eq(expr::next(flags[j]), flags[j]));
+    return keep;
+  };
+  std::vector<expr::Expr> rules;
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    std::vector<expr::Expr> up = keep_others(i);
+    up.push_back(expr::mk_not(flags[i]));
+    up.push_back(expr::mk_eq(expr::next(flags[i]), expr::tru()));
+    up.push_back(expr::mk_eq(expr::next(seen), seen));
+    rules.push_back(expr::all_of(up));
+    std::vector<expr::Expr> down = keep_others(i);
+    down.push_back(flags[i]);
+    down.push_back(expr::mk_eq(expr::next(flags[i]), expr::fls()));
+    down.push_back(expr::mk_eq(expr::next(seen), expr::tru()));
+    rules.push_back(expr::all_of(down));
+  }
+  std::vector<expr::Expr> stutter = keep_others(flags.size());
+  stutter.push_back(expr::mk_eq(expr::next(seen), seen));
+  rules.push_back(expr::all_of(stutter));
+  sys.add_trans(expr::any_of(rules));
+  sys.validate();
+  const ltl::Formula property =
+      ltl::G(ltl::atom(expr::mk_or({expr::mk_not(seen), expr::count_true(flags) >= 1})));
+
+  obs::reset_counters();
+  core::CheckOptions check;
+  check.deadline = util::Deadline::after_seconds(60);
+  const auto outcome = core::check(sys, property, check);
+  ASSERT_EQ(outcome.verdict, core::Verdict::kViolated);
+  std::string error;
+  EXPECT_TRUE(core::confirm_counterexample(sys, property, outcome, &error)) << error;
+  EXPECT_GE(counter("abs.vars_collapsed"), flags.size()) << "the flags must form an orbit";
+  EXPECT_EQ(counter("abs.guided_fallbacks"), 1u);
+  EXPECT_EQ(counter("abs.guided_concretizations"), 0u);
+  // Decided inside the quotient stage, by the unguided BMC: not counted
+  // spurious, not left to the concrete fallback.
+  EXPECT_EQ(counter("abs.spurious_traces"), 0u);
+  EXPECT_EQ(counter("abs.fallback_concrete"), 0u);
+}
+
 TEST(Cegar, FallbackCountedWhenNoOrbitSurvives) {
   // A 2-variable system with no symmetry at all: the pass must fall back to
   // the concrete engines and say so in the counter.

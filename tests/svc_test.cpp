@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <random>
@@ -375,6 +376,44 @@ TEST(Service, ZeroQueueLimitRejectsEveryRequest) {
   EXPECT_TRUE(response.rejected);
   EXPECT_EQ(response.outcome.verdict, core::Verdict::kUnknown);
   EXPECT_EQ(service.rejected(), 1u);
+}
+
+TEST(Service, WarmHitIsAnsweredWhileTheQueueIsFull) {
+  // One admission slot, held by a request whose completion callback blocks
+  // (the callback runs before the slot is released). A repeat of a cached
+  // request is an LRU hit and is answered at admission; an uncached request
+  // still bounces.
+  scenarios::RolloutPartitionScenario scenario = scenarios::make_test_scenario();
+  svc::Service service({.jobs = 1, .queue_limit = 1});
+  svc::CheckRequest warm;
+  warm.system = &scenario.system;
+  warm.property = scenario.property;
+  warm.engine = core::Engine::kBmc;
+  warm.max_depth = 6;
+  const core::Verdict cold = service.check(warm).outcome.verdict;
+  ASSERT_EQ(cold, core::Verdict::kViolated);
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  svc::CheckRequest holder = warm;
+  holder.property = scenario.properties.at(1).second;
+  holder.on_complete = [released] { released.wait(); };
+  svc::PendingCheck held = service.submit(holder);
+  ASSERT_EQ(service.queue_depth(), 1u);
+
+  const svc::CheckResponse hit = service.submit(warm).wait();
+  EXPECT_FALSE(hit.rejected) << "a warm hit must not count against the full queue";
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.outcome.verdict, cold);
+  EXPECT_EQ(hit.queue_seconds, 0.0);
+
+  svc::CheckRequest uncached = warm;
+  uncached.max_depth = 7;
+  EXPECT_TRUE(service.submit(uncached).wait().rejected);
+  EXPECT_EQ(service.rejected(), 1u);
+
+  release.set_value();
+  EXPECT_FALSE(held.wait().rejected);
 }
 
 TEST(Service, ConcurrentIdenticalSubmissionsShareOneSolverRun) {
@@ -802,6 +841,29 @@ TEST(Protocol, ParseRequestRejectsOutOfRangeAndHostileFields) {
   EXPECT_FALSE(request.props.has_value());
 }
 
+// The client's parser of daemon replies: counts outside their integer type
+// (negative, or past the cast's range) reject the line rather than reach an
+// undefined conversion. The JSON reader itself rejects non-finite numbers.
+TEST(Protocol, WireVerdictRejectsOutOfRangeCounts) {
+  const auto parse = [](const std::string& fields) {
+    return svc::wire_verdict_from_json(obs::parse_json(
+        R"({"type":"verdict","prop":"p","verdict":"holds")" + fields + "}"));
+  };
+  for (const std::string& fields : {
+           std::string(R"(,"solver_checks":-1)"), std::string(R"(,"solver_checks":1e300)"),
+           std::string(R"(,"solver_checks":2e19)"), std::string(R"(,"depth_reached":-2)"),
+           std::string(R"(,"depth_reached":3e9)"), std::string(R"(,"depth_reached":-1e300)"),
+       }) {
+    EXPECT_FALSE(parse(fields).has_value()) << fields;
+  }
+  const std::optional<svc::WireVerdict> v = parse(R"(,"solver_checks":12,"depth_reached":-1)");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->solver_checks, 12u);
+  EXPECT_EQ(v->depth_reached, -1);
+  ASSERT_TRUE(parse(R"(,"depth_reached":7)").has_value());
+  EXPECT_EQ(parse(R"(,"depth_reached":7)")->depth_reached, 7);
+}
+
 // --- Batched session dispatch ------------------------------------------------
 
 TEST(ServiceBatch, BatchedVerdictsMatchOneAtATimeSubmission) {
@@ -973,18 +1035,15 @@ TEST(ServiceBatch, DuplicatePropertiesInOneBatchReportIndividualCacheHits) {
 
   svc::ServiceOptions options;
   options.jobs = 1;
-  options.batch_window_seconds = 0.05;
+  options.batch_window_seconds = 0.2;
   svc::Service service(options);
 
-  const auto submit_pair = [&] {
-    svc::CheckRequest request;
-    request.system = &sys;
-    request.property = prop;
-    request.engine = core::Engine::kKInduction;
-    request.max_depth = 10;
-    std::vector<svc::PendingCheck> pending;
-    pending.push_back(service.submit(request));
-    pending.push_back(service.submit(request));
+  svc::CheckRequest request;
+  request.system = &sys;
+  request.property = prop;
+  request.engine = core::Engine::kKInduction;
+  request.max_depth = 10;
+  const auto wait_all = [](std::vector<svc::PendingCheck> pending) {
     std::vector<svc::CheckResponse> responses;
     for (svc::PendingCheck& p : pending) responses.push_back(p.wait());
     return responses;
@@ -992,16 +1051,34 @@ TEST(ServiceBatch, DuplicatePropertiesInOneBatchReportIndividualCacheHits) {
 
   // Cold cache: the shared session computes the pair — neither member may
   // claim a hit just because its twin shares the fingerprint.
-  for (const svc::CheckResponse& r : submit_pair()) {
+  for (const svc::CheckResponse& r : wait_all({service.submit(request), service.submit(request)})) {
     EXPECT_EQ(r.outcome.verdict, core::Verdict::kHolds);
     EXPECT_FALSE(r.cache_hit);
   }
-  // Warm cache: a fresh pair is answered from the verdict cache entirely.
-  for (const svc::CheckResponse& r : submit_pair()) {
+  // Warm cache: a fresh pair is answered from the LRU at admission and joins
+  // no batch.
+  for (const svc::CheckResponse& r : wait_all({service.submit(request), service.submit(request)})) {
     EXPECT_EQ(r.outcome.verdict, core::Verdict::kHolds);
     EXPECT_TRUE(r.cache_hit);
   }
-  EXPECT_EQ(service.batches_formed(), 2u);
+  EXPECT_EQ(service.batches_formed(), 1u);
+
+  // A verdict that lands in the cache after admission is served inside the
+  // batch, to each member. The lone request (its own group: a finite
+  // deadline) dispatches one window before the pair on the single worker
+  // and stores the verdict the pair's session then finds.
+  svc::CheckRequest other = request;
+  other.max_depth = 11;
+  other.deadline = util::Deadline::after_seconds(60);
+  svc::PendingCheck first = service.submit(other);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  other.deadline = util::Deadline::never();
+  for (const svc::CheckResponse& r : wait_all({service.submit(other), service.submit(other)})) {
+    EXPECT_EQ(r.outcome.verdict, core::Verdict::kHolds);
+    EXPECT_TRUE(r.cache_hit);
+  }
+  EXPECT_FALSE(first.wait().cache_hit);
+  EXPECT_EQ(service.batches_formed(), 3u);
 }
 
 // --- Daemon framing errors and message bounds --------------------------------

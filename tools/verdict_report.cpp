@@ -165,12 +165,13 @@ JsonValue validate_stats_document(const std::string& text) {
     }
     // The abstraction counters are closed too (docs/abstraction.md): symmetry
     // detection, quotient collapse, threshold validation, and the CEGAR
-    // loop's refinement / fallback outcomes.
+    // loop's concretization / refinement / fallback outcomes.
     if (name.rfind("abs.", 0) == 0) {
       static const char* kAbsCounters[] = {
-          "abs.orbits_found",      "abs.vars_collapsed",
-          "abs.cegar_refinements", "abs.spurious_traces",
-          "abs.fallback_concrete", "abs.threshold_probes",
+          "abs.orbits_found",           "abs.vars_collapsed",
+          "abs.cegar_refinements",      "abs.spurious_traces",
+          "abs.fallback_concrete",      "abs.threshold_probes",
+          "abs.guided_concretizations", "abs.guided_fallbacks",
       };
       bool known = false;
       for (const char* k : kAbsCounters) known = known || name == k;
@@ -325,11 +326,12 @@ void print_stats_report(const JsonValue& doc) {
     const long refinements = counter("abs.cegar_refinements");
     const long spurious = counter("abs.spurious_traces");
     const long fallback = counter("abs.fallback_concrete");
+    const long guided = counter("abs.guided_concretizations");
     if (orbits + collapsed + refinements + spurious + fallback > 0)
       std::printf("abstraction: %ld orbit(s), %ld var(s) collapsed, "
                   "%ld refinement(s), %ld spurious trace(s), "
-                  "%ld concrete fallback(s)\n",
-                  orbits, collapsed, refinements, spurious, fallback);
+                  "%ld guided concretization(s), %ld concrete fallback(s)\n",
+                  orbits, collapsed, refinements, spurious, guided, fallback);
   }
 }
 
