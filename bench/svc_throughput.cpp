@@ -192,7 +192,8 @@ std::string shard_model() {
 constexpr std::size_t kShardCacheCapacity = 32;
 
 // One in-process shard cluster: S daemons joined on the same ring spec, each
-// with the SAME cache budget and batching OFF, so the only thing N shards
+// with the SAME cache budget and a zero batch window (every request its own
+// batch of one, dispatched at once), so the only thing N shards
 // add over 1 is aggregate capacity (plus the peer tier).
 class ShardCluster {
  public:
@@ -285,7 +286,7 @@ int run_shard_mode(std::size_t shards) {
   }
   std::printf("model: %d modules, %zu props (one per module), per-shard LRU "
               "budget %zu entries;\n%zu clients total, %.1fs per point, "
-              "batching off\n",
+              "batch window 0\n",
               kModules, expected.size(), kShardCacheCapacity, clients, seconds);
   std::printf("\n%-8s | %11s | %12s | %11s | %11s | %s\n", "shards", "load",
               "throughput", "p50", "p99", "volume");
@@ -424,7 +425,6 @@ int main(int argc, char** argv) {
   svc::DaemonOptions options;
   options.socket_path = std::string(sock_dir) + "/verdictd.sock";
   options.service.jobs = 0;
-  options.service.batch_window_seconds = 0.002;
   options.service.batch_max = 32;
   svc::Daemon daemon(options);
   std::thread server_thread([&] { daemon.serve(); });

@@ -269,7 +269,7 @@ SessionResult Session::check_all(const SessionOptions& options) const {
   result.total.engine = "session";
   result.properties.reserve(properties_.size());
   for (const Prop& p : properties_)
-    result.properties.push_back({p.name, p.formula, CheckOutcome{}});
+    result.properties.push_back({p.name, p.formula, CheckOutcome{}, false});
   if (properties_.empty()) {
     result.total.seconds = watch.elapsed_seconds();
     return result;
@@ -284,9 +284,11 @@ SessionResult Session::check_all(const SessionOptions& options) const {
   todo.reserve(properties_.size());
   for (std::size_t i = 0; i < properties_.size(); ++i) {
     if (options.cache && options.optimize && options.abstract) {
-      if (std::optional<CheckOutcome> hit = options.cache->lookup(
-              system_, properties_[i].formula, options.engine, options.max_depth)) {
+      if (std::optional<CheckOutcome> hit =
+              options.cache->lookup(system_, properties_[i].formula, options.engine,
+                                    options.max_depth, options.deadline)) {
         result.properties[i].outcome = std::move(*hit);
+        result.properties[i].cache_hit = true;
         obs::count("session.cache_hits");
         if (obs::TraceSink* s = obs::sink())
           s->event("session.cache_hit")

@@ -54,13 +54,16 @@ namespace verdict::core {
 /// dependency keeps pointing downward. check_all() consults the hook per
 /// property before any engine runs and offers every freshly computed outcome
 /// back afterwards — the implementation decides what is safe to keep (svc
-/// stores only definitive verdicts).
+/// stores only definitive verdicts). `deadline` is the session's: work the
+/// lookup does itself (revalidating a proof from an earlier model version)
+/// must stop when the session would.
 class PropertyCacheHook {
  public:
   virtual ~PropertyCacheHook() = default;
   virtual std::optional<CheckOutcome> lookup(const ts::TransitionSystem& system,
                                              const ltl::Formula& property,
-                                             Engine engine, int max_depth) = 0;
+                                             Engine engine, int max_depth,
+                                             const util::Deadline& deadline) = 0;
   virtual void store(const ts::TransitionSystem& system, const ltl::Formula& property,
                      Engine engine, int max_depth, const CheckOutcome& outcome) = 0;
 };
@@ -96,6 +99,8 @@ struct PropertyVerdict {
   std::string name;
   ltl::Formula property;
   CheckOutcome outcome;
+  /// The outcome came from SessionOptions::cache, not from an engine run.
+  bool cache_hit = false;
 };
 
 struct SessionResult {

@@ -1,5 +1,7 @@
 #include "inc/artifact.h"
 
+#include <limits>
+
 #include "svc/stored_trace.h"
 
 namespace verdict::inc {
@@ -49,8 +51,10 @@ std::optional<core::ProofArtifact> artifact_from_json(const obs::JsonValue& doc)
   } else {
     return std::nullopt;
   }
-  artifact.k = static_cast<int>(doc["k"].number);
-  if (artifact.k < 0) return std::nullopt;
+  const std::optional<std::int64_t> k =
+      obs::json_integer(doc["k"], 0, std::numeric_limits<int>::max());
+  if (!k) return std::nullopt;
+  artifact.k = static_cast<int>(*k);
 
   if (doc.has("pinned")) {
     std::optional<ts::State> pinned = svc::state_from_json(doc["pinned"]);

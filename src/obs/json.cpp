@@ -321,6 +321,17 @@ const JsonValue& JsonValue::operator[](const std::string& k) const {
 
 JsonValue parse_json(std::string_view text) { return Parser(text).parse_document(); }
 
+std::optional<std::int64_t> json_integer(const JsonValue& v, std::int64_t lo, std::int64_t hi) {
+  if (!v.is_number()) return std::nullopt;
+  const double d = v.number;
+  // [-2^63, 2^63) is exactly the doubles int64 holds; NaN fails the test.
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0) || d != std::floor(d))
+    return std::nullopt;
+  const auto i = static_cast<std::int64_t>(d);
+  if (i < lo || i > hi) return std::nullopt;
+  return i;
+}
+
 namespace {
 
 void write_json_value(JsonWriter& w, const JsonValue& v) {

@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,6 +102,18 @@ class JsonValue {
     return is_object() && object.contains(k);
   }
 };
+
+/// 2^53, the largest bound under which every integer is exact as a double:
+/// the range for counts that travel as JSON numbers.
+inline constexpr std::int64_t kJsonExactIntegerMax = std::int64_t{1} << 53;
+
+/// `v` as a whole number in [lo, hi]; nullopt when `v` is not a number, not
+/// a whole one, or out of range. Every decoder of JSON integers reads them
+/// through this: a double cast to an integer type that cannot hold it is
+/// undefined behaviour.
+[[nodiscard]] std::optional<std::int64_t> json_integer(
+    const JsonValue& v, std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
 
 /// Parses one JSON document. Throws std::invalid_argument on malformed input
 /// (including trailing garbage).

@@ -588,7 +588,8 @@ void Daemon::Impl::flush_ready(const std::shared_ptr<RequestCtx>& ctx,
   // Send verdicts in request order as they become ready.
   while (ctx->next < ctx->pending.size() && ctx->filled[ctx->next]) {
     const std::size_t i = ctx->next++;
-    const CheckResponse response = ctx->pending[i].wait();  // ready: no block
+    // Filled: wait() returns once the worker releases the admission slot.
+    const CheckResponse response = ctx->pending[i].wait();
     if (response.cache_hit) ++ctx->cache_hits;
 
     WireVerdict v;

@@ -74,10 +74,10 @@ std::string parse_request(std::string_view payload, WireRequest& out) {
   // Range checks before the casts: a double outside int (or a duration past
   // the clock's range) does not convert.
   if (req["depth"].is_number()) {
-    const double depth = req["depth"].number;
-    if (!(depth >= 0 && depth <= std::numeric_limits<int>::max()))
-      return "\"depth\" must be a non-negative integer";
-    out.depth = static_cast<int>(depth);
+    const std::optional<std::int64_t> depth =
+        obs::json_integer(req["depth"], 0, std::numeric_limits<int>::max());
+    if (!depth) return "\"depth\" must be a non-negative integer";
+    out.depth = static_cast<int>(*depth);
   }
   if (req["timeout"].is_number()) {
     const double timeout = req["timeout"].number;
@@ -140,14 +140,16 @@ std::optional<WireVerdict> wire_verdict_from_json(const obs::JsonValue& line) {
   // Range checks before the casts, as in parse_request: an out-of-range
   // double from a faulty or hostile daemon does not convert.
   if (line["solver_checks"].is_number()) {
-    const double checks = line["solver_checks"].number;
-    if (!(checks >= 0 && checks <= 9007199254740992.0)) return std::nullopt;  // 2^53
-    v.solver_checks = static_cast<std::size_t>(checks);
+    const std::optional<std::int64_t> checks =
+        obs::json_integer(line["solver_checks"], 0, obs::kJsonExactIntegerMax);
+    if (!checks) return std::nullopt;
+    v.solver_checks = static_cast<std::size_t>(*checks);
   }
   if (line["depth_reached"].is_number()) {
-    const double depth = line["depth_reached"].number;
-    if (!(depth >= -1 && depth <= std::numeric_limits<int>::max())) return std::nullopt;
-    v.depth_reached = static_cast<int>(depth);
+    const std::optional<std::int64_t> depth =
+        obs::json_integer(line["depth_reached"], -1, std::numeric_limits<int>::max());
+    if (!depth) return std::nullopt;
+    v.depth_reached = static_cast<int>(*depth);
   }
   v.cache_hit = line["cache_hit"].boolean;
   v.rejected = line["rejected"].boolean;

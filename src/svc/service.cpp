@@ -36,12 +36,16 @@ core::CheckOutcome failed_outcome(const std::string& what) {
 // the remaining budget: members of one batch share a session deadline (the
 // earliest member's), so only requests whose budgets agree to within a
 // bucket may share a run — a never-expiring request must not inherit a 2s
-// budget from a neighbor.
+// budget from a neighbor. The pipeline flags select the session's options,
+// so an escape-hatch request (optimize=false or abstract=false) batches only
+// with its own kind.
 struct GroupKey {
   Fingerprint system;
   core::Engine engine = core::Engine::kAuto;
   int max_depth = 0;
   std::uint64_t deadline_bucket = 0;
+  bool optimize = true;
+  bool abstract = true;
 
   friend bool operator==(const GroupKey&, const GroupKey&) = default;
 };
@@ -53,6 +57,8 @@ struct GroupKeyHash {
     h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.max_depth)) + 1) *
          0xc4ceb9fe1a85ec53ULL;
     h ^= k.deadline_bucket * 0x2545f4914f6cdd1dULL;
+    h ^= (static_cast<std::uint64_t>(k.optimize) << 1 | static_cast<std::uint64_t>(k.abstract)) *
+         0x9e3779b97f4a7c15ULL;
     return static_cast<std::size_t>(h);
   }
 };
@@ -63,96 +69,43 @@ std::uint64_t deadline_bucket(const util::Deadline& d) {
 }
 
 // The store tiers in lookup order — LRU, persistent segment, ring owner —
-// and their write-through rule. The direct path, SessionCache and PEER_GET /
-// PEER_PUT serving all walk the tiers through this one type. `segment` is
-// null without a segment file; `peers` is null off a cluster, and for
-// PEER_GET serving, which answers from this shard's local tiers only so a
-// peer lookup stays one hop.
+// and their write-through rule. SessionCache and PEER_GET / PEER_PUT serving
+// both walk the tiers through this one type. `segment` is null without a
+// segment file; `peers` is null off a cluster, and for PEER_GET serving,
+// which answers from this shard's local tiers only so a peer lookup stays
+// one hop.
 struct StoreTiers {
   VerdictCache* lru = nullptr;
   SegmentStore* segment = nullptr;
   PeerExchange* peers = nullptr;
 
-  /// The tiers below the LRU: the segment, then the shard the ring assigns
-  /// `key` to.
-  [[nodiscard]] std::optional<CachedVerdict> fetch(const Fingerprint& key) const {
-    if (segment != nullptr) {
-      if (std::optional<CachedVerdict> held = segment->lookup(key)) return held;
-    }
-    if (peers != nullptr) {
+  /// The LRU, the segment, then the shard the ring assigns `key` to; a
+  /// lower-tier hit is re-inserted into the LRU.
+  [[nodiscard]] std::optional<CachedVerdict> lookup(const Fingerprint& key) const {
+    if (std::optional<CachedVerdict> held = lru->lookup(key)) return held;
+    std::optional<CachedVerdict> held;
+    if (segment != nullptr) held = segment->lookup(key);
+    if (!held && peers != nullptr) {
       if (peers->owns(key)) {
         obs::count("svc.ring.local");
       } else {
         obs::count("svc.ring.remote");
-        return peers->fetch(key);
+        held = peers->fetch(key);
       }
     }
-    return std::nullopt;
-  }
-
-  /// The LRU, then fetch(); a lower-tier hit is re-inserted into the LRU.
-  [[nodiscard]] std::optional<CachedVerdict> lookup(const Fingerprint& key) const {
-    if (std::optional<CachedVerdict> held = lru->lookup(key)) return held;
-    std::optional<CachedVerdict> held = fetch(key);
     if (held) lru->insert(key, *held);
     return held;
   }
 
-  /// Write-through below the LRU: the segment makes a fresh verdict
+  /// Writes through every tier. The segment makes a fresh verdict
   /// crash-durable now (not at the next snapshot), and the ring owner gets a
-  /// copy so every shard is one peer hop from it. Both drop non-definitive
-  /// verdicts on their own.
-  void write_through(const Fingerprint& key, const CachedVerdict& value) const {
+  /// copy so every shard is one peer hop from it. Every tier drops
+  /// non-definitive verdicts on its own.
+  void store(const Fingerprint& key, CachedVerdict value) const {
     if (segment != nullptr) segment->append(key, value);
     if (peers != nullptr) peers->publish(key, value);
-  }
-
-  /// write_through(), then the LRU.
-  void store(const Fingerprint& key, CachedVerdict value) const {
-    write_through(key, value);
     lru->insert(key, std::move(value));
   }
-};
-
-// PropertyCacheHook that delegates to SessionCache and records which of the
-// session's properties were answered from the cache, so the batch fan-out can
-// set per-member cache_hit flags truthfully. Hits are recorded by property
-// INDEX, not fingerprint: check_all consults the hook exactly once per
-// property, in add order, before any engine runs (src/core/session.cpp), so
-// the k-th lookup call is property k. A fingerprint key would conflate two
-// batch members carrying the identical property — one computed, one served —
-// into the same hit flag.
-class RecordingSessionCache final : public core::PropertyCacheHook {
- public:
-  RecordingSessionCache(VerdictCache& cache, ReuseHook* reuse,
-                        SegmentStore* segment, PeerExchange* peers,
-                        std::size_t num_properties)
-      : inner_(cache, reuse, segment, peers), hit_(num_properties, 0) {}
-
-  std::optional<core::CheckOutcome> lookup(const ts::TransitionSystem& system,
-                                           const ltl::Formula& property,
-                                           core::Engine engine, int max_depth) override {
-    std::optional<core::CheckOutcome> hit =
-        inner_.lookup(system, property, engine, max_depth);
-    if (hit && next_ < hit_.size()) hit_[next_] = 1;
-    ++next_;
-    return hit;
-  }
-
-  void store(const ts::TransitionSystem& system, const ltl::Formula& property,
-             core::Engine engine, int max_depth,
-             const core::CheckOutcome& outcome) override {
-    inner_.store(system, property, engine, max_depth, outcome);
-  }
-
-  [[nodiscard]] bool was_hit(std::size_t index) const {
-    return index < hit_.size() && hit_[index] != 0;
-  }
-
- private:
-  SessionCache inner_;
-  std::vector<char> hit_;
-  std::size_t next_ = 0;
 };
 
 }  // namespace
@@ -174,6 +127,7 @@ struct Service::Inflight {
 struct Batch {
   struct Entry {
     ltl::Formula property;
+    Fingerprint key;  // the request fingerprint submit() computed
     std::shared_ptr<CheckResponse> slot;
     std::shared_ptr<BatchMember> member;
     std::function<void()> on_complete;
@@ -184,6 +138,8 @@ struct Batch {
   core::Engine engine = core::Engine::kAuto;
   int max_depth = 50;
   util::Deadline deadline = util::Deadline::never();
+  bool optimize = true;
+  bool abstract = true;
   std::chrono::steady_clock::time_point ready_at;
 
   std::mutex mu;
@@ -231,8 +187,9 @@ struct BatchMember {
 };
 
 // The coalescer: an open-batch table plus one timer thread that dispatches
-// batches when their window expires (full batches dispatch inline from
-// submit). Lives for the whole Service lifetime; drain() only flushes it.
+// batches when their window expires (full batches, and every batch under a
+// zero window, dispatch inline from submit). Lives for the whole Service
+// lifetime; drain() only flushes it.
 struct Service::Batcher {
   std::mutex mu;
   std::condition_variable cv;
@@ -272,22 +229,18 @@ Service::Service(const ServiceOptions& options)
   if (!options_.cluster.empty())
     peers_ = std::make_unique<PeerExchange>(Ring::from_spec(options_.cluster),
                                             options_.self_id, options_.peer);
-  if (options_.batch_window_seconds > 0 && options_.batch_max > 0) {
-    batcher_ = std::make_unique<Batcher>();
-    batcher_->thread = std::thread([this] { batcher_loop(); });
-  }
+  batcher_ = std::make_unique<Batcher>();
+  batcher_->thread = std::thread([this] { batcher_loop(); });
 }
 
 Service::~Service() {
   drain();
-  if (batcher_) {
-    {
-      std::lock_guard<std::mutex> lock(batcher_->mu);
-      batcher_->stopping = true;
-    }
-    batcher_->cv.notify_all();
-    batcher_->thread.join();
+  {
+    std::lock_guard<std::mutex> lock(batcher_->mu);
+    batcher_->stopping = true;
   }
+  batcher_->cv.notify_all();
+  batcher_->thread.join();
   // Join the workers before the implicit member teardown: drain() returning
   // means active==0, but the last worker may still be inside its trailing
   // inflight cv.notify_all(), which must finish before ~Inflight destroys
@@ -296,27 +249,19 @@ Service::~Service() {
 }
 
 void PendingCheck::cancel() {
-  if (member_) {
-    member_->cancel();
-    return;
-  }
-  handle_.cancel();
+  if (member_) member_->cancel();
 }
 
 bool PendingCheck::done() const {
-  if (member_) {
-    std::lock_guard<std::mutex> lock(member_->mu);
-    return member_->done;
-  }
-  return handle_.done();
+  if (!member_) return true;
+  std::lock_guard<std::mutex> lock(member_->mu);
+  return member_->done;
 }
 
 CheckResponse PendingCheck::wait() {
   if (member_) {
     std::unique_lock<std::mutex> lock(member_->mu);
     member_->cv.wait(lock, [this] { return member_->done; });
-  } else {
-    handle_.wait();
   }
   return slot_ ? *slot_ : CheckResponse{};
 }
@@ -328,14 +273,11 @@ PendingCheck Service::submit(const CheckRequest& request) {
   // A cache-mediated request whose verdict is already in the LRU is answered
   // here, before admission: a microsecond hit must not count against the
   // queue that slow cold work fills.
-  const bool cache_mediated = request.optimize && request.abstract && request.system != nullptr;
-  std::optional<Fingerprint> request_key;
+  const Fingerprint request_key = fingerprint_request(*request.system, request.property,
+                                                      request.engine, request.max_depth);
   std::optional<core::CheckOutcome> hit;
-  if (request.system != nullptr)
-    request_key = fingerprint_request(*request.system, request.property, request.engine,
-                                      request.max_depth);
-  if (cache_mediated) {
-    if (std::optional<CachedVerdict> cached = cache_->probe(*request_key))
+  if (request.optimize && request.abstract) {
+    if (std::optional<CachedVerdict> cached = cache_->probe(request_key))
       hit = outcome_from_cached(*cached);
   }
 
@@ -362,128 +304,25 @@ PendingCheck Service::submit(const CheckRequest& request) {
     // accessors that take the same mutex.
     if (pending.slot_->cache_hit) obs::count("svc.requests");
     if (request.on_complete) request.on_complete();
-    return pending;  // no handle: wait() returns immediately
+    return pending;  // no member: wait() returns immediately
   }
   obs::count("svc.requests");
   obs::count("svc.queue.enqueued");
   if (obs::TraceSink* s = obs::sink())
     s->event("svc.request").attr("queue_depth", depth).emit();
-
-  // Batched dispatch: cache-mediated requests join a coalescing batch and
-  // are verified as one shared session run. optimize=false / abstract=false
-  // requests keep the direct path — their contract is "never answer from the
-  // cache".
-  if (batcher_ && cache_mediated) return submit_batched(request, pending.slot_);
-
-  // Copies for the closure: the formula and options by value, the system by
-  // pointer (the caller guarantees it outlives wait() — see CheckRequest).
-  const ts::TransitionSystem* system = request.system;
-  const ltl::Formula property = request.property;
-  const core::Engine engine = request.engine;
-  const int max_depth = request.max_depth;
-  const bool optimize = request.optimize;
-  const bool abstract = request.abstract;
-  const util::Deadline deadline = request.deadline;
-  const std::function<void()> on_complete = request.on_complete;
-  const Fingerprint key = *request_key;
-
-  std::shared_ptr<CheckResponse> slot = pending.slot_;
-  Inflight* inflight = inflight_.get();
-  const StoreTiers tiers{cache_.get(), segment_.get(), peers_.get()};
-  ReuseHook* reuse = reuse_;
-  util::Stopwatch queued;
-
-  pending.handle_ = pool_->submit_cancellable(
-      [=](const util::CancelToken& token) {
-        slot->queue_seconds = queued.elapsed_seconds();
-        obs::count("svc.queue.dequeued");
-        const auto run_check = [&] {
-          core::CheckOptions check_options;
-          check_options.engine = engine;
-          check_options.max_depth = max_depth;
-          check_options.optimize = optimize;
-          check_options.abstract = abstract;
-          check_options.deadline = deadline.with_cancel(token);
-          return core::check(*system, property, check_options);
-        };
-        bool computed = false;
-        CachedVerdict cached;
-        if (optimize && abstract) {
-          cached = tiers.lru->get_or_compute(key, [&] {
-            // Exact LRU miss (single-flight: concurrent identical requests
-            // wait here). Walk the remaining store tiers before paying for
-            // any engine work. A tier hit leaves `computed` false (the
-            // client sees the warm hit it is) and get_or_compute re-inserts
-            // it into the LRU.
-            if (std::optional<CachedVerdict> held = tiers.fetch(key))
-              return std::move(*held);
-            // Before paying for a scratch run, let the incremental layer try
-            // to carry the verdict over from a previous model version
-            // (unchanged cone, or a revalidated proof artifact).
-            CachedVerdict fresh;
-            bool carried_over = false;
-            if (reuse != nullptr) {
-              if (std::optional<CachedVerdict> carried = reuse->try_reuse(
-                      *system, property, engine, max_depth, deadline.with_cancel(token))) {
-                fresh = std::move(*carried);
-                carried_over = true;
-              }
-            }
-            if (!carried_over) {
-              computed = true;
-              const core::CheckOutcome out = run_check();
-              fresh = reuse != nullptr
-                          ? reuse->record(*system, property, engine, max_depth, out)
-                          : cached_from_outcome(out);
-            }
-            tiers.write_through(key, fresh);
-            return fresh;
-          });
-        } else {
-          // optimize=false / abstract=false are the escape hatches around
-          // pipeline bugs: never serve a cached verdict (the entry may have
-          // been produced through the optimizing or abstracting pipeline).
-          // Recompute, and refresh the shared entry so a stale verdict is
-          // overwritten rather than left behind.
-          computed = true;
-          const core::CheckOutcome out = run_check();
-          cached = reuse != nullptr
-                       ? reuse->record(*system, property, engine, max_depth, out)
-                       : cached_from_outcome(out);
-          tiers.store(key, cached);
-          obs::count("svc.cache_bypassed");
-        }
-        slot->cache_hit = !computed;
-        std::optional<core::CheckOutcome> outcome = outcome_from_cached(cached);
-        if (!outcome) {
-          // Stored counterexample does not rehydrate against this system
-          // (should not happen for a fingerprint match — defensive): compute
-          // fresh rather than serve a trace-less kViolated.
-          obs::count("svc.rehydrate_failed");
-          outcome = run_check();
-          slot->cache_hit = false;
-        }
-        slot->outcome = std::move(*outcome);
-        // Callback BEFORE the active-count decrement: drain() waits on
-        // active==0 and its callers tear down callback targets right after,
-        // so a callback must never still be in flight once drain() returns.
-        if (on_complete) on_complete();
-        {
-          std::lock_guard<std::mutex> lock(inflight->mu);
-          --inflight->active;
-        }
-        inflight->cv.notify_all();
-      });
-  return pending;
+  return submit_batched(request, request_key, std::move(pending.slot_));
 }
 
 PendingCheck Service::submit_batched(const CheckRequest& request,
+                                     const Fingerprint& request_key,
                                      std::shared_ptr<CheckResponse> slot) {
   GroupKey key;
   key.system = fingerprint(*request.system);
   key.engine = request.engine;
   key.max_depth = request.max_depth;
   key.deadline_bucket = deadline_bucket(request.deadline);
+  key.optimize = request.optimize;
+  key.abstract = request.abstract;
 
   auto member = std::make_shared<BatchMember>();
   PendingCheck pending;
@@ -500,6 +339,8 @@ PendingCheck Service::submit_batched(const CheckRequest& request,
       open->engine = request.engine;
       open->max_depth = request.max_depth;
       open->deadline = request.deadline;
+      open->optimize = request.optimize;
+      open->abstract = request.abstract;
       open->ready_at = std::chrono::steady_clock::now() +
                        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                            std::chrono::duration<double>(options_.batch_window_seconds));
@@ -507,7 +348,7 @@ PendingCheck Service::submit_batched(const CheckRequest& request,
     member->batch = open;
     {
       std::lock_guard<std::mutex> batch_lock(open->mu);
-      open->entries.push_back({request.property, pending.slot_, member,
+      open->entries.push_back({request.property, request_key, pending.slot_, member,
                                request.on_complete, util::Stopwatch{}});
     }
     // The shared session runs under the EARLIEST member deadline: sound (a
@@ -516,7 +357,7 @@ PendingCheck Service::submit_batched(const CheckRequest& request,
     // skew within one window + 100ms.
     if (request.deadline.remaining_seconds() < open->deadline.remaining_seconds())
       open->deadline = request.deadline;
-    if (open->entries.size() >= options_.batch_max) {
+    if (open->entries.size() >= options_.batch_max || options_.batch_window_seconds <= 0) {
       full = open;
       batcher_->open.erase(key);
     }
@@ -595,29 +436,35 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
         obs::count("svc.queue.dequeued", batch->entries.size());
         for (Batch::Entry& entry : batch->entries)
           entry.slot->queue_seconds = entry.queued.elapsed_seconds();
+        if (!batch->optimize || !batch->abstract)
+          obs::count("svc.cache_bypassed", batch->entries.size());
 
-        // One shared session over every member property. The hook gives each
-        // member its individual verdict-cache lookup (and ReuseHook carry-
-        // over) before any engine runs, and offers fresh outcomes back — the
-        // same per-property semantics as the direct path, minus single-
-        // flight (concurrent identical requests land in ONE batch anyway).
-        RecordingSessionCache hook(*cache, reuse, segment, peers,
-                                   batch->entries.size());
+        // One shared session over the batch's distinct request fingerprints:
+        // members carrying the same one share its property. The hook gives
+        // each property its store-tier lookup (and ReuseHook carry-over)
+        // before any engine runs, and offers fresh outcomes back; for the
+        // escape-hatch flags the session skips the lookup and only refreshes.
+        std::vector<std::size_t> property_of(batch->entries.size());
         core::SessionResult result;
         std::string failure;
         try {
           core::Session session(*batch->system);
-          for (std::size_t i = 0; i < batch->entries.size(); ++i)
-            session.add_property("b" + std::to_string(i),
-                                 batch->entries[i].property);
+          std::unordered_map<Fingerprint, std::size_t, FingerprintHash> added;
+          for (std::size_t i = 0; i < batch->entries.size(); ++i) {
+            const Batch::Entry& entry = batch->entries[i];
+            const auto [it, fresh] = added.try_emplace(entry.key, added.size());
+            if (fresh) session.add_property("b" + std::to_string(i), entry.property);
+            property_of[i] = it->second;
+          }
+          SessionCache hook(*cache, reuse, segment, peers);
           core::SessionOptions so;
           so.engine = batch->engine;
           so.max_depth = batch->max_depth;
           so.deadline = batch->deadline.with_cancel(token);
           so.jobs = 1;  // the batch already owns one pool worker
           so.cache = &hook;
-          so.optimize = true;  // only optimize=true, abstract=true requests batch
-          so.abstract = true;
+          so.optimize = batch->optimize;
+          so.abstract = batch->abstract;
           result = session.check_all(so);
         } catch (const std::exception& error) {
           failure = error.what();
@@ -627,27 +474,32 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
         // CheckRequest borrow only keeps *batch->system alive until that
         // member's own completion, so once the first mark_done/on_complete
         // fires, nothing shared (system, session result, hook) may be read
-        // on behalf of later members.
+        // on behalf of later members. The first member carrying a property
+        // reports how the session served it; its twins ran no engine.
+        std::vector<char> served(result.properties.size(), 0);
         for (std::size_t i = 0; i < batch->entries.size(); ++i) {
           Batch::Entry& entry = batch->entries[i];
           if (!failure.empty()) {
             entry.slot->outcome = failed_outcome(failure);
-          } else {
-            entry.slot->outcome = std::move(result.properties[i].outcome);
-            entry.slot->cache_hit = hook.was_hit(i);
+            continue;
           }
+          const core::PropertyVerdict& verdict = result.properties[property_of[i]];
+          entry.slot->outcome = verdict.outcome;
+          entry.slot->cache_hit = verdict.cache_hit || served[property_of[i]] != 0;
+          served[property_of[i]] = 1;
         }
         for (Batch::Entry& entry : batch->entries) {
-          entry.member->mark_done();
-          // Same ordering rule as the direct path: the callback fires before
-          // this member stops counting toward `active`, so drain() doubles
-          // as a completion-callback fence.
+          // The callback fires before this member stops counting toward
+          // `active`, so drain() doubles as a completion-callback fence; and
+          // wait() returns only after it stopped counting, so a caller's next
+          // submit finds the admission slot free.
           if (entry.on_complete) entry.on_complete();
           {
             std::lock_guard<std::mutex> lock(inflight->mu);
             --inflight->active;
           }
           inflight->cv.notify_all();
+          entry.member->mark_done();
         }
       });
 
@@ -670,18 +522,16 @@ void Service::drain() {
     std::lock_guard<std::mutex> lock(inflight_->mu);
     inflight_->draining = true;
   }
-  if (batcher_) {
-    // Flush batches still inside their coalescing window — nothing new joins
-    // them now that admission is closed.
-    std::vector<std::shared_ptr<Batch>> open;
-    {
-      std::lock_guard<std::mutex> lock(batcher_->mu);
-      for (const auto& [key, batch] : batcher_->open) open.push_back(batch);
-      batcher_->open.clear();
-    }
-    for (const std::shared_ptr<Batch>& batch : open) dispatch_batch(batch);
-    batcher_->cv.notify_all();
+  // Flush batches still inside their coalescing window — nothing new joins
+  // them now that admission is closed.
+  std::vector<std::shared_ptr<Batch>> open;
+  {
+    std::lock_guard<std::mutex> lock(batcher_->mu);
+    for (const auto& [key, batch] : batcher_->open) open.push_back(batch);
+    batcher_->open.clear();
   }
+  for (const std::shared_ptr<Batch>& batch : open) dispatch_batch(batch);
+  batcher_->cv.notify_all();
   {
     std::unique_lock<std::mutex> lock(inflight_->mu);
     inflight_->cv.wait(lock, [this] { return inflight_->active == 0; });
@@ -712,13 +562,11 @@ std::uint64_t Service::rejected() const {
 }
 
 std::uint64_t Service::batches_formed() const {
-  if (!batcher_) return 0;
   std::lock_guard<std::mutex> lock(batcher_->mu);
   return batcher_->batches_formed;
 }
 
 std::uint64_t Service::batched_requests() const {
-  if (!batcher_) return 0;
   std::lock_guard<std::mutex> lock(batcher_->mu);
   return batcher_->batched_requests;
 }
@@ -733,18 +581,25 @@ void Service::store_insert(const Fingerprint& key, CachedVerdict value) {
 
 std::optional<core::CheckOutcome> SessionCache::lookup(
     const ts::TransitionSystem& system, const ltl::Formula& property,
-    core::Engine engine, int max_depth) {
+    core::Engine engine, int max_depth, const util::Deadline& deadline) {
+  const auto rehydrate = [](const CachedVerdict& v) {
+    std::optional<core::CheckOutcome> outcome = outcome_from_cached(v);
+    // A fingerprint match whose trace names variables this process does not
+    // know should not happen; recompute rather than serve a trace-less
+    // kViolated.
+    if (!outcome) obs::count("svc.rehydrate_failed");
+    return outcome;
+  };
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
   if (std::optional<CachedVerdict> held = StoreTiers{&cache_, segment_, peers_}.lookup(key))
-    return outcome_from_cached(*held);  // rehydration failure -> miss
+    return rehydrate(*held);
   if (reuse_ != nullptr) {
     // Exact miss: a previous model version may still answer (svc/reuse.h).
-    // Sessions are synchronous, so the revalidation runs on the caller's
-    // budgetless path; carried verdicts are re-inserted under this request's
-    // fingerprint so the next identical lookup is an exact hit.
+    // Carried verdicts are re-inserted under this request's fingerprint so
+    // the next identical lookup is an exact hit.
     if (std::optional<CachedVerdict> carried =
-            reuse_->try_reuse(system, property, engine, max_depth, util::Deadline::never())) {
-      std::optional<core::CheckOutcome> outcome = outcome_from_cached(*carried);
+            reuse_->try_reuse(system, property, engine, max_depth, deadline)) {
+      std::optional<core::CheckOutcome> outcome = rehydrate(*carried);
       if (outcome) cache_.insert(key, std::move(*carried));
       return outcome;
     }
@@ -756,7 +611,6 @@ void SessionCache::store(const ts::TransitionSystem& system,
                          const ltl::Formula& property, core::Engine engine,
                          int max_depth, const core::CheckOutcome& outcome) {
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
-  // Every tier drops non-definitive verdicts on its own.
   StoreTiers{&cache_, segment_, peers_}.store(
       key, reuse_ != nullptr ? reuse_->record(system, property, engine, max_depth, outcome)
                              : cached_from_outcome(outcome));

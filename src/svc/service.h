@@ -5,31 +5,32 @@
 // front-end over it, tools/verdictd.cpp) and is equally usable embedded —
 // bench/svc_throughput drives it directly. One Service owns:
 //
-//   * a portfolio::ThreadPool — every admitted request becomes one pool job,
+//   * a portfolio::ThreadPool — every dispatched batch becomes one pool job,
 //     so K clients with N properties each saturate the hardware instead of
 //     each spawning private solvers threads,
 //   * a VerdictCache — requests are fingerprinted (svc/fingerprint.h) and
-//     served from cache when a definitive verdict is known; identical
-//     in-flight requests collapse to one solver run (single-flight). When
-//     configured as a cluster shard, the LRU is the first of three store
-//     tiers — LRU, mmap'd segment (svc/segment.h), ring-owner peer fetch
-//     (svc/peer.h) — consulted in that order on a miss (docs/sharding.md),
+//     served from cache when a definitive verdict is known. When configured
+//     as a cluster shard, the LRU is the first of three store tiers — LRU,
+//     mmap'd segment (svc/segment.h), ring-owner peer fetch (svc/peer.h) —
+//     consulted in that order on a miss (docs/sharding.md),
 //   * a bounded admission queue — at most `queue_limit` admitted-but-
 //     unfinished requests; beyond that submit() rejects immediately with a
-//     kUnknown outcome instead of letting latency grow without bound,
+//     kUnknown outcome instead of letting latency grow without bound. A
+//     request whose verdict is already in the LRU is answered before it,
 //   * per-request deadlines — the request's Deadline is combined with the
 //     job's CancelToken, so both timeouts and server-side cancellation
 //     (client hung up, drain) stop the engines at their existing poll sites,
-//   * a batch coalescer — requests arriving within `batch_window_seconds`
-//     that share a group fingerprint (system, engine, depth, deadline class)
-//     are verified as ONE core::Session::check_all over a shared solver
-//     unrolling instead of N independent core::check runs, then fanned back
-//     out to their individual responses. Verdicts are identical to
-//     one-at-a-time submission (the session crosscheck suite asserts parity);
-//     only the cost profile changes. The per-property cache/ReuseHook
-//     semantics are preserved: the batch runs with a SessionCache hook, so
-//     each member still consults the verdict cache (and the incremental
-//     reuse layer) before any engine runs and offers its fresh outcome back.
+//   * a batch coalescer — every admitted request joins a batch. Requests
+//     arriving within `batch_window_seconds` that share a group key (system,
+//     engine, depth, deadline class, pipeline flags) are verified as ONE
+//     core::Session::check_all over a shared solver unrolling, then fanned
+//     back out to their individual responses. Each distinct request
+//     fingerprint is checked once per batch; members carrying the same one
+//     share its outcome. Verdicts are identical to one-at-a-time submission
+//     (the session crosscheck suite asserts parity). The batch runs with a
+//     SessionCache hook, so each property still consults the store tiers (and
+//     the incremental reuse layer) before any engine runs and offers its
+//     fresh outcome back.
 //
 // drain() (also run by the destructor) stops admission, flushes any batch
 // still coalescing, waits for every in-flight request, and persists the
@@ -58,11 +59,11 @@ struct ServiceOptions {
   /// Maximum admitted-but-unfinished requests; submit() rejects beyond it.
   std::size_t queue_limit = 64;
   /// Batch coalescing window in seconds. Requests submitted within this
-  /// window that share a group fingerprint (same system, engine, depth, and
-  /// deadline class) are dispatched as one core::Session::check_all over a
-  /// shared unrolling. 0 disables batching (every request is its own
-  /// single-flight cache computation — the PR-4 behavior).
-  double batch_window_seconds = 0.0;
+  /// window that share a group key (same system, engine, depth, deadline
+  /// class and pipeline flags) are dispatched as one core::Session::check_all
+  /// over a shared unrolling. 0 dispatches every request at once, as a batch
+  /// of one.
+  double batch_window_seconds = 0.002;
   /// Maximum members per batch; a full batch dispatches immediately instead
   /// of waiting out the window.
   std::size_t batch_max = 16;
@@ -94,32 +95,32 @@ struct CheckRequest {
   core::Engine engine = core::Engine::kAuto;
   int max_depth = 50;
   util::Deadline deadline = util::Deadline::never();
-  /// Run the opt/ pipeline before checking (core::CheckOptions::optimize).
+  /// Run the opt/ pipeline before checking (core::SessionOptions::optimize).
   /// Not part of the request fingerprint (the optimizer is semantics-
   /// preserving, so both settings answer the same question), but
   /// optimize=false requests always recompute — bypassing the cache lookup
   /// and overwriting the shared entry — so --no-opt is a genuine escape
-  /// hatch around optimizer bugs, cached or not. optimize=false requests are
-  /// never batched either: the batch path is cache-mediated.
+  /// hatch around optimizer bugs, cached or not. They batch only with
+  /// requests carrying the same flags.
   bool optimize = true;
   /// Run the abs/ symmetry-reduction pass before checking
-  /// (core::CheckOptions::abstract). Same cache contract as optimize:
-  /// excluded from the request fingerprint (the abstraction is
-  /// semantics-preserving), but abstract=false requests always recompute —
-  /// bypassing the cache lookup and overwriting the shared entry — so
-  /// --no-abs is a genuine escape hatch around abstraction bugs, cached or
-  /// not. abstract=false requests are never batched either.
+  /// (core::SessionOptions::abstract). Same cache contract as optimize:
+  /// excluded from the request fingerprint, but abstract=false requests
+  /// always recompute and refresh the shared entry (--no-abs).
   bool abstract = true;
   /// Invoked exactly once when the response slot is filled: on the worker
-  /// thread for computed/batched requests, on the submitting thread for
-  /// admission rejects. Lets a caller that must not block — the epoll
-  /// daemon — collect responses without parking a thread in wait(). Must not
-  /// throw and must not call back into the Service.
+  /// thread for batched requests (just before wait() returns), on the
+  /// submitting thread for admission rejects and hits. Lets a caller that
+  /// must not block — the epoll daemon — collect responses without parking a
+  /// thread in wait(). Must not throw and must not call back into the
+  /// Service.
   std::function<void()> on_complete;
 };
 
 struct CheckResponse {
   core::CheckOutcome outcome;
+  /// No engine ran for this request: a store-tier (or incremental reuse)
+  /// hit, or a batch twin that shared another member's run.
   bool cache_hit = false;
   /// Request bounced off the full admission queue; outcome is kUnknown.
   bool rejected = false;
@@ -132,9 +133,9 @@ struct Batch;
 struct BatchMember;
 
 /// Ticket for one submitted request. cancel() stops the engines
-/// cooperatively (for a batched request: cancels the shared session run only
-/// once every member cancelled); wait() blocks for the response (immediately
-/// available for rejected requests).
+/// cooperatively (the shared session run is cancelled only once every member
+/// of its batch cancelled); wait() blocks for the response (immediately
+/// available for rejected requests and admission hits).
 class PendingCheck {
  public:
   void cancel();
@@ -143,9 +144,8 @@ class PendingCheck {
 
  private:
   friend class Service;
-  portfolio::JobHandle handle_;
   std::shared_ptr<CheckResponse> slot_;
-  std::shared_ptr<BatchMember> member_;  // set iff the request was batched
+  std::shared_ptr<BatchMember> member_;  // null when answered at admission
 };
 
 class Service {
@@ -200,6 +200,7 @@ class Service {
   struct Batcher;
 
   [[nodiscard]] PendingCheck submit_batched(const CheckRequest& request,
+                                            const Fingerprint& request_key,
                                             std::shared_ptr<CheckResponse> slot);
   void batcher_loop();
   void dispatch_batch(std::shared_ptr<Batch> batch);
@@ -210,28 +211,32 @@ class Service {
   std::unique_ptr<PeerExchange> peers_;     // null without a cluster spec
   std::unique_ptr<portfolio::ThreadPool> pool_;
   std::unique_ptr<Inflight> inflight_;
-  std::unique_ptr<Batcher> batcher_;  // null when batching is disabled
+  std::unique_ptr<Batcher> batcher_;
   ReuseHook* reuse_ = nullptr;
 };
 
-/// core::PropertyCacheHook adapter: lets a plain core::Session (verdictc in
-/// local mode, embedded users) share the daemon's memoization layer. Not
-/// single-flight — sessions are synchronous; it only consults/feeds the LRU.
+/// core::PropertyCacheHook adapter over the store tiers: the hook every
+/// service batch runs with, and usable by any embedded core::Session
+/// (bench/incremental_reverify) to share the same memoization layer.
 class SessionCache final : public core::PropertyCacheHook {
  public:
   /// `reuse` (optional, borrowed) adds cross-version reuse on exact-match
   /// misses: a verdict carried over from a previous model version is served
-  /// as a hit and re-inserted under the new request fingerprint. `segment`
-  /// and `peers` (optional, borrowed) extend misses through the daemon's
-  /// remaining store tiers in lookup order — segment, then ring owner — and
-  /// write fresh outcomes through to both.
+  /// as a hit and re-inserted under the new request fingerprint; its
+  /// revalidation runs under the session's deadline. `segment` and `peers`
+  /// (optional, borrowed) extend misses through the daemon's remaining store
+  /// tiers in lookup order — segment, then ring owner — and write fresh
+  /// outcomes through to both.
   explicit SessionCache(VerdictCache& cache, ReuseHook* reuse = nullptr,
                         SegmentStore* segment = nullptr, PeerExchange* peers = nullptr)
       : cache_(cache), reuse_(reuse), segment_(segment), peers_(peers) {}
 
+  /// A stored or carried-over verdict whose trace does not rehydrate against
+  /// `system` counts `svc.rehydrate_failed` and is a miss.
   std::optional<core::CheckOutcome> lookup(const ts::TransitionSystem& system,
                                            const ltl::Formula& property,
-                                           core::Engine engine, int max_depth) override;
+                                           core::Engine engine, int max_depth,
+                                           const util::Deadline& deadline) override;
   void store(const ts::TransitionSystem& system, const ltl::Formula& property,
              core::Engine engine, int max_depth,
              const core::CheckOutcome& outcome) override;

@@ -1,7 +1,5 @@
 #include "svc/stored_trace.h"
 
-#include <cmath>
-
 #include "obs/stats_json.h"
 
 namespace verdict::svc {
@@ -17,16 +15,16 @@ std::optional<expr::Value> parse_value(const obs::JsonValue& v, const expr::Type
       if (v.kind != obs::JsonValue::Kind::kBool) return std::nullopt;
       return expr::Value{v.boolean};
     case expr::TypeKind::kInt: {
-      if (!v.is_number()) return std::nullopt;
-      const double d = v.number;
-      if (d != std::floor(d)) return std::nullopt;
-      return expr::Value{static_cast<std::int64_t>(d)};
+      const std::optional<std::int64_t> i = obs::json_integer(v);
+      if (!i) return std::nullopt;
+      return expr::Value{*i};
     }
     case expr::TypeKind::kReal:
       try {
         if (v.is_number()) {
-          if (v.number != std::floor(v.number)) return std::nullopt;
-          return expr::Value{util::Rational(static_cast<std::int64_t>(v.number))};
+          const std::optional<std::int64_t> i = obs::json_integer(v);
+          if (!i) return std::nullopt;
+          return expr::Value{util::Rational(*i)};
         }
         if (v.is_string()) return expr::Value{util::Rational::parse(v.string)};
       } catch (const std::exception&) {
@@ -68,8 +66,12 @@ std::optional<ts::Trace> trace_from_json(const obs::JsonValue& doc) {
   if (!doc.is_object()) return std::nullopt;
   if (!doc["states"].is_array() || !doc["params"].is_object()) return std::nullopt;
   ts::Trace trace;
-  if (doc["lasso_start"].is_number())
-    trace.lasso_start = static_cast<std::size_t>(doc["lasso_start"].number);
+  if (doc["lasso_start"].is_number()) {
+    const std::optional<std::int64_t> start =
+        obs::json_integer(doc["lasso_start"], 0, obs::kJsonExactIntegerMax);
+    if (!start) return std::nullopt;
+    trace.lasso_start = static_cast<std::size_t>(*start);
+  }
   const std::optional<ts::State> params = state_from_json(doc["params"]);
   if (!params) return std::nullopt;
   trace.params = *params;
@@ -79,7 +81,8 @@ std::optional<ts::Trace> trace_from_json(const obs::JsonValue& doc) {
     trace.states.push_back(std::move(*state));
   }
   if (doc["length"].is_number() &&
-      static_cast<std::size_t>(doc["length"].number) != trace.states.size())
+      obs::json_integer(doc["length"], 0, obs::kJsonExactIntegerMax) !=
+          static_cast<std::int64_t>(trace.states.size()))
     return std::nullopt;
   return trace;
 }

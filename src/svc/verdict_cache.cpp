@@ -1,15 +1,15 @@
 #include "svc/verdict_cache.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <list>
 #include <mutex>
 #include <unordered_map>
 
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "svc/protocol.h"
 #include "svc/stored_trace.h"
 
 namespace verdict::svc {
@@ -20,15 +20,6 @@ const char* kSchema = "verdict-cache-v2";
 // v1 lines (pre-incremental) are still accepted on load: they simply carry
 // none of the inc enrichment fields, which all default to "absent".
 const char* kSchemaV1 = "verdict-cache-v1";
-
-std::optional<core::Verdict> verdict_from_name(const std::string& name) {
-  for (const core::Verdict v :
-       {core::Verdict::kHolds, core::Verdict::kViolated, core::Verdict::kBoundReached,
-        core::Verdict::kTimeout, core::Verdict::kUnknown}) {
-    if (name == core::verdict_name(v)) return v;
-  }
-  return std::nullopt;
-}
 
 }  // namespace
 
@@ -99,9 +90,18 @@ std::optional<std::pair<Fingerprint, CachedVerdict>> cached_from_json(
   if (doc["message"].is_string()) v.message = doc["message"].string;
   if (doc["seconds"].is_number()) v.seconds = doc["seconds"].number;
   if (doc["solver_seconds"].is_number()) v.solver_seconds = doc["solver_seconds"].number;
-  if (doc["solver_checks"].is_number())
-    v.solver_checks = static_cast<std::size_t>(doc["solver_checks"].number);
-  if (doc["depth"].is_number()) v.depth_reached = static_cast<int>(doc["depth"].number);
+  if (doc["solver_checks"].is_number()) {
+    const std::optional<std::int64_t> checks =
+        obs::json_integer(doc["solver_checks"], 0, obs::kJsonExactIntegerMax);
+    if (!checks) return std::nullopt;
+    v.solver_checks = static_cast<std::size_t>(*checks);
+  }
+  if (doc["depth"].is_number()) {
+    const std::optional<std::int64_t> depth =
+        obs::json_integer(doc["depth"], -1, std::numeric_limits<int>::max());
+    if (!depth) return std::nullopt;
+    v.depth_reached = static_cast<int>(*depth);
+  }
   if (doc.has("counterexample"))
     v.counterexample_json = obs::to_json(doc["counterexample"]);
   if (doc["prop_key"].is_string())
@@ -144,22 +144,7 @@ struct VerdictCache::Shard {
   std::unordered_map<Fingerprint, decltype(lru)::iterator, FingerprintHash> index;
 };
 
-struct VerdictCache::Flight {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool failed = false;
-  CachedVerdict result;
-};
-
-struct VerdictCache::SingleFlight {
-  std::mutex mu;
-  std::unordered_map<Fingerprint, std::shared_ptr<Flight>, FingerprintHash> in_flight;
-  std::atomic<std::uint64_t> shared{0};
-};
-
-VerdictCache::VerdictCache(const CacheOptions& options)
-    : options_(options), flights_(std::make_unique<SingleFlight>()) {
+VerdictCache::VerdictCache(const CacheOptions& options) : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
   if (options_.capacity == 0) options_.capacity = 1;
   for (std::size_t i = 0; i < options_.shards; ++i)
@@ -218,59 +203,6 @@ void VerdictCache::insert(const Fingerprint& key, CachedVerdict value) {
   }
 }
 
-CachedVerdict VerdictCache::get_or_compute(
-    const Fingerprint& key, const std::function<CachedVerdict()>& compute) {
-  for (;;) {
-    if (std::optional<CachedVerdict> hit = lookup(key)) return std::move(*hit);
-
-    std::shared_ptr<Flight> flight;
-    bool leader = false;
-    {
-      std::lock_guard<std::mutex> lock(flights_->mu);
-      auto [it, inserted] = flights_->in_flight.try_emplace(key, nullptr);
-      if (inserted) {
-        it->second = std::make_shared<Flight>();
-        leader = true;
-      }
-      flight = it->second;
-    }
-
-    if (leader) {
-      CachedVerdict result;
-      std::exception_ptr error;
-      try {
-        result = compute();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      if (!error) insert(key, result);
-      {
-        std::lock_guard<std::mutex> lock(flight->mu);
-        flight->done = true;
-        flight->failed = error != nullptr;
-        if (!error) flight->result = result;
-      }
-      {
-        std::lock_guard<std::mutex> lock(flights_->mu);
-        flights_->in_flight.erase(key);
-      }
-      flight->cv.notify_all();
-      if (error) std::rethrow_exception(error);
-      return result;
-    }
-
-    // Follower: share the leader's answer (even a non-cacheable one).
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    if (!flight->failed) {
-      flights_->shared.fetch_add(1, std::memory_order_relaxed);
-      obs::count("svc.singleflight.shared");
-      return flight->result;
-    }
-    // Leader failed: loop and try again (possibly becoming the leader).
-  }
-}
-
 std::size_t VerdictCache::size() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
@@ -288,9 +220,6 @@ std::uint64_t VerdictCache::misses() const {
 }
 std::uint64_t VerdictCache::evictions() const {
   return evictions_.load(std::memory_order_relaxed);
-}
-std::uint64_t VerdictCache::single_flight_shared() const {
-  return flights_->shared.load(std::memory_order_relaxed);
 }
 
 void VerdictCache::for_each(

@@ -1,5 +1,5 @@
-// Content-addressed verdict cache: sharded in-memory LRU + single-flight
-// deduplication + optional NDJSON persistence.
+// Content-addressed verdict cache: sharded in-memory LRU + optional NDJSON
+// persistence.
 //
 // The paper's deployment model (§4.3) re-verifies near-identical models on
 // every config push, so the same (system, property, engine options) request
@@ -8,11 +8,8 @@
 //
 //   * sharded LRU — capacity-bounded, one mutex per shard so concurrent
 //     daemon requests don't serialize on one lock.
-//   * single-flight — when N identical requests are in flight, one caller
-//     computes and the other N-1 block on the result instead of burning N
-//     solver runs (get_or_compute).
 //   * persistence — save()/load() stream entries as NDJSON (one JSON object
-//     per line, "verdict-cache-v1") so verdicts survive a daemon restart.
+//     per line, "verdict-cache-v2") so verdicts survive a daemon restart.
 //     Counterexample traces are stored name-keyed (svc/stored_trace.h) and
 //     rehydrated lazily at lookup-conversion time, so a cache file loads
 //     before any model has been parsed.
@@ -22,6 +19,9 @@
 // kBoundReached / kTimeout / kUnknown depend on the budget a particular run
 // happened to have and MUST be recomputed; insert() silently drops them, and
 // load() refuses lines carrying them no matter who wrote the file.
+//
+// Identical requests in flight at once are deduplicated one layer up, per
+// service batch (svc/service.h), not here.
 #pragma once
 
 #include <atomic>
@@ -92,7 +92,8 @@ struct CachedVerdict {
                                          const CachedVerdict& v);
 
 /// Parses one v2 (or legacy v1) line back into (key, verdict). Returns
-/// nullopt for malformed lines AND for non-cacheable verdicts — the
+/// nullopt for malformed lines (an integer field out of its type's range
+/// included) AND for non-cacheable verdicts — the
 /// cacheability rule is enforced here so no deserialization path (file load,
 /// segment scan, peer response) can plant an indefinite verdict.
 [[nodiscard]] std::optional<std::pair<Fingerprint, CachedVerdict>>
@@ -116,20 +117,10 @@ class VerdictCache {
   /// Stores a definitive verdict; silently drops non-cacheable ones.
   void insert(const Fingerprint& key, CachedVerdict value);
 
-  /// Single-flight memoized compute: a hit returns immediately; otherwise
-  /// exactly one caller per key runs `compute` while concurrent callers of
-  /// the same key block and share its result. A non-cacheable result is
-  /// still handed to the waiting callers (they asked the identical
-  /// question), just never stored. If the leader's compute throws, waiters
-  /// fall back to computing individually.
-  [[nodiscard]] CachedVerdict get_or_compute(
-      const Fingerprint& key, const std::function<CachedVerdict()>& compute);
-
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   [[nodiscard]] std::uint64_t evictions() const;
-  [[nodiscard]] std::uint64_t single_flight_shared() const;
 
   /// Calls `fn` for a snapshot of every entry (copied out shard by shard, so
   /// `fn` may call back into the cache). Used by inc::ReuseEngine to rebuild
@@ -152,14 +143,11 @@ class VerdictCache {
 
  private:
   struct Shard;
-  struct Flight;
 
   Shard& shard_for(const Fingerprint& key) const;
 
   CacheOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  struct SingleFlight;
-  std::unique_ptr<SingleFlight> flights_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};

@@ -160,9 +160,17 @@ TEST(Artifact, RejectsMalformedDocuments) {
   EXPECT_FALSE(inc::artifact_from_json(std::string(
                    R"({"schema":"verdict-artifact-v1","kind":"alien","k":0})"))
                    .has_value());
-  EXPECT_FALSE(inc::artifact_from_json(std::string(
-                   R"({"schema":"verdict-artifact-v1","kind":"pdr","k":-1})"))
-                   .has_value());
+  // k outside int, or not whole, rejects rather than reach the cast.
+  for (const char* k : {"-1", "-5", "1e300", "-1e300", "3e9", "2.5"}) {
+    EXPECT_FALSE(inc::artifact_from_json(
+                     std::string(R"({"schema":"verdict-artifact-v1","kind":"pdr","k":)") + k +
+                     "}")
+                     .has_value())
+        << "k = " << k;
+  }
+  EXPECT_TRUE(inc::artifact_from_json(
+                  std::string(R"({"schema":"verdict-artifact-v1","kind":"pdr","k":2147483647})"))
+                  .has_value());
 }
 
 // --- Revalidation ------------------------------------------------------------
@@ -251,7 +259,7 @@ TEST(ReuseEngine, CarriesHoldsAcrossOutOfConeEditWithZeroSolverWork) {
   // ...and the live path delivers it: a lookup miss on the exact fingerprint
   // falls through to cross-version reuse and returns the prior verdict.
   const std::optional<core::CheckOutcome> warm =
-      hook.lookup(v2.sys, p, core::Engine::kPdr, 30);
+      hook.lookup(v2.sys, p, core::Engine::kPdr, 30, util::Deadline::never());
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(warm->verdict, core::Verdict::kHolds);
   EXPECT_EQ(warm->message, cold.message);  // bit-identical carry
@@ -259,7 +267,8 @@ TEST(ReuseEngine, CarriesHoldsAcrossOutOfConeEditWithZeroSolverWork) {
   EXPECT_EQ(counter("inc.invariants_revalidated"), revalidated_before);
 
   // Second lookup on the SAME new version is now an exact cache hit.
-  EXPECT_TRUE(hook.lookup(v2.sys, p, core::Engine::kPdr, 30).has_value());
+  EXPECT_TRUE(
+      hook.lookup(v2.sys, p, core::Engine::kPdr, 30, util::Deadline::never()).has_value());
 }
 
 TEST(ReuseEngine, RevalidatesWhenTheConeItselfChanged) {
@@ -280,7 +289,7 @@ TEST(ReuseEngine, RevalidatesWhenTheConeItselfChanged) {
   const std::uint64_t revalidated_before = counter("inc.invariants_revalidated");
   const std::uint64_t failed_before = counter("inc.revalidation_failed");
   const std::optional<core::CheckOutcome> warm =
-      hook.lookup(v2.sys, p, core::Engine::kPdr, 30);
+      hook.lookup(v2.sys, p, core::Engine::kPdr, 30, util::Deadline::never());
   const std::uint64_t revalidated_after = counter("inc.invariants_revalidated");
   const std::uint64_t failed_after = counter("inc.revalidation_failed");
 
@@ -312,7 +321,7 @@ TEST(ReuseEngine, NeverCarriesHoldsIntoASystemWhereItIsFalse) {
 
   const std::uint64_t failed_before = counter("inc.revalidation_failed");
   const std::optional<core::CheckOutcome> warm =
-      hook.lookup(v2.sys, p, core::Engine::kPdr, 30);
+      hook.lookup(v2.sys, p, core::Engine::kPdr, 30, util::Deadline::never());
   EXPECT_FALSE(warm.has_value());  // revalidation fails -> scratch
   EXPECT_EQ(counter("inc.revalidation_failed"), failed_before + 1);
   EXPECT_EQ(run(v2, p, core::Engine::kPdr).verdict, core::Verdict::kViolated);
@@ -339,7 +348,7 @@ TEST(ReuseEngine, ReplaysCounterexamplesOnTheNewFullSystem) {
   ASSERT_NE(svc::fingerprint(v1.sys), svc::fingerprint(v2.sys));
   const std::uint64_t replayed_before = counter("inc.cex_replayed");
   const std::optional<core::CheckOutcome> warm =
-      hook.lookup(v2.sys, p, core::Engine::kBmc, 30);
+      hook.lookup(v2.sys, p, core::Engine::kBmc, 30, util::Deadline::never());
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(warm->verdict, core::Verdict::kViolated);
   EXPECT_EQ(counter("inc.cex_replayed"), replayed_before + 1);
@@ -347,7 +356,8 @@ TEST(ReuseEngine, ReplaysCounterexamplesOnTheNewFullSystem) {
   // In-cone edit that FIXES the bug (x saturates at 3): the stale trace must
   // not replay, and reuse must decline.
   const TwoCounters v3 = make_two_counters("re_d", 3, 0);
-  EXPECT_FALSE(hook.lookup(v3.sys, p, core::Engine::kBmc, 30).has_value());
+  EXPECT_FALSE(
+      hook.lookup(v3.sys, p, core::Engine::kBmc, 30, util::Deadline::never()).has_value());
 }
 
 TEST(ReuseEngine, RestartRevalidatesInsteadOfTrustingDisk) {
@@ -377,7 +387,7 @@ TEST(ReuseEngine, RestartRevalidatesInsteadOfTrustingDisk) {
   const TwoCounters v2 = make_two_counters("re_e", 5, 1);  // out-of-cone edit
   const std::uint64_t revalidated_before = counter("inc.invariants_revalidated");
   const std::optional<core::CheckOutcome> warm =
-      hook.lookup(v2.sys, p, core::Engine::kPdr, 30);
+      hook.lookup(v2.sys, p, core::Engine::kPdr, 30, util::Deadline::never());
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(warm->verdict, core::Verdict::kHolds);
   EXPECT_EQ(counter("inc.invariants_revalidated"), revalidated_before + 1);

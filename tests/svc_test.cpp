@@ -1,6 +1,6 @@
 // The verification-as-a-service subsystem end to end: canonical
-// fingerprints, the verdict cache (LRU + cacheability rule + single-flight +
-// persistence), the Service scheduler, the Session cache hook, and a real
+// fingerprints, the verdict cache (LRU + cacheability rule + persistence),
+// the Service scheduler and its batches, the Session cache hook, and a real
 // in-process Daemon serving concurrent socket clients. The daemon test is
 // the suite's TSan workout — it exercises connection threads, the worker
 // pool, and the sharded cache simultaneously.
@@ -200,67 +200,6 @@ TEST(VerdictCache, LookupRefreshesLruPosition) {
   EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
 }
 
-TEST(VerdictCache, SingleFlightComputesOnce) {
-  svc::VerdictCache cache;
-  std::atomic<int> computes{0};
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<svc::CachedVerdict> results(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      results[t] = cache.get_or_compute(key_of(42), [&] {
-        computes.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return holds_verdict(7.0);
-      });
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(computes.load(), 1);
-  for (const svc::CachedVerdict& r : results) {
-    EXPECT_EQ(r.verdict, core::Verdict::kHolds);
-    EXPECT_DOUBLE_EQ(r.seconds, 7.0);
-  }
-  EXPECT_GE(cache.single_flight_shared(), static_cast<std::uint64_t>(kThreads - 1));
-}
-
-TEST(VerdictCache, SingleFlightSharesButNeverStoresNonDefinitive) {
-  svc::VerdictCache cache;
-  svc::CachedVerdict timeout;
-  timeout.verdict = core::Verdict::kTimeout;
-  const svc::CachedVerdict got =
-      cache.get_or_compute(key_of(9), [&] { return timeout; });
-  EXPECT_EQ(got.verdict, core::Verdict::kTimeout);
-  EXPECT_FALSE(cache.lookup(key_of(9)).has_value());
-}
-
-TEST(VerdictCache, LeaderExceptionLetsWaitersRecover) {
-  svc::VerdictCache cache;
-  std::atomic<int> attempts{0};
-  std::vector<std::thread> threads;
-  std::atomic<int> successes{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      try {
-        const svc::CachedVerdict v = cache.get_or_compute(key_of(13), [&] {
-          if (attempts.fetch_add(1) == 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            throw std::runtime_error("solver exploded");
-          }
-          return holds_verdict();
-        });
-        EXPECT_EQ(v.verdict, core::Verdict::kHolds);
-        successes.fetch_add(1);
-      } catch (const std::runtime_error&) {
-        // Only the failing leader may see the exception.
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_GE(attempts.load(), 2);
-  EXPECT_GE(successes.load(), 3);
-}
-
 // --- Persistence across "restarts" -------------------------------------------
 
 TEST(VerdictCache, PersistedCounterexampleRoundTrips) {
@@ -311,6 +250,44 @@ TEST(VerdictCache, LoadSkipsMalformedAndNonDefinitiveLines) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// A cache file, a segment payload and a peer response all reach these
+// decoders. An integer field outside its type (negative, past the cast's
+// range, or not whole) rejects the entry rather than reach an undefined
+// conversion. The JSON reader itself rejects non-finite numbers.
+TEST(VerdictCache, DecodersRejectOutOfRangeIntegers) {
+  const std::string head =
+      R"({"schema":"verdict-cache-v2","key":"00000000000000000000000000000001",)"
+      R"("verdict":"holds","engine":"pdr")";
+  for (const std::string& fields : {
+           std::string(R"(,"solver_checks":-5)"), std::string(R"(,"solver_checks":1e300)"),
+           std::string(R"(,"solver_checks":2e19)"), std::string(R"(,"solver_checks":1.5)"),
+           std::string(R"(,"depth":-5)"), std::string(R"(,"depth":1e300)"),
+           std::string(R"(,"depth":3e9)"), std::string(R"(,"depth":-1e300)"),
+       }) {
+    EXPECT_FALSE(svc::cached_from_json(head + fields + "}").has_value()) << fields;
+  }
+  const auto entry = svc::cached_from_json(head + R"(,"solver_checks":12,"depth":-1})");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->second.solver_checks, 12u);
+  EXPECT_EQ(entry->second.depth_reached, -1);
+
+  // Stored traces: the lasso start, the length and every int state value.
+  (void)counter_system("range_trace");
+  const auto trace = [](const std::string& lasso, const std::string& length,
+                        const std::string& value) {
+    return svc::trace_from_json(R"({"lasso_start":)" + lasso + R"(,"length":)" + length +
+                                R"(,"params":{},"states":[{"range_trace.x":)" + value + "}]}");
+  };
+  ASSERT_TRUE(trace("0", "1", "3").has_value());
+  ASSERT_TRUE(trace("null", "1", "3").has_value());
+  for (const char* bad : {"-5", "1e300", "-1e300", "2e19", "0.5"})
+    EXPECT_FALSE(trace(bad, "1", "3").has_value()) << "lasso_start " << bad;
+  for (const char* bad : {"-5", "1e300", "-1e300", "2e19", "1.5"})
+    EXPECT_FALSE(trace("0", bad, "3").has_value()) << "length " << bad;
+  for (const char* bad : {"1e300", "-1e300", "1e19", "-1e19", "0.5"})
+    EXPECT_FALSE(trace("0", "1", bad).has_value()) << "state value " << bad;
+}
+
 // --- Service -----------------------------------------------------------------
 
 TEST(Service, WarmRequestsHitTheCacheAndAgreeWithColdOnes) {
@@ -354,9 +331,11 @@ TEST(Service, NoOptRequestsBypassTheCacheAndRefreshIt) {
   EXPECT_EQ(warm.outcome.verdict, core::Verdict::kViolated);
 
   request.optimize = false;
+  const std::uint64_t bypassed = obs::counter("svc.cache_bypassed").load();
   const svc::CheckResponse noopt = service.check(request);
   EXPECT_FALSE(noopt.cache_hit) << "--no-opt must never serve a cached verdict";
   EXPECT_EQ(noopt.outcome.verdict, core::Verdict::kViolated);
+  EXPECT_EQ(obs::counter("svc.cache_bypassed").load(), bypassed + 1);
 
   // The unoptimized recompute refreshes the shared entry, which optimized
   // requests keep hitting (the flag is not part of the fingerprint).
@@ -418,7 +397,9 @@ TEST(Service, WarmHitIsAnsweredWhileTheQueueIsFull) {
 
 TEST(Service, ConcurrentIdenticalSubmissionsShareOneSolverRun) {
   scenarios::RolloutPartitionScenario scenario = scenarios::make_test_scenario();
-  svc::Service service({.jobs = 4});
+  // A window that holds all six submissions: they form one batch, whose
+  // session checks their one fingerprint once.
+  svc::Service service({.jobs = 4, .batch_window_seconds = 0.2});
   svc::CheckRequest request;
   request.system = &scenario.system;
   request.property = scenario.properties.at(1).second;  // a holding invariant
@@ -435,10 +416,67 @@ TEST(Service, ConcurrentIdenticalSubmissionsShareOneSolverRun) {
     EXPECT_EQ(r.outcome.verdict, core::Verdict::kHolds);
     if (!r.cache_hit) ++computed;
   }
-  // Single-flight: at most one response per wave actually ran the engines
-  // (>=1 because the first request must compute).
-  EXPECT_GE(computed, 1u);
+  EXPECT_EQ(computed, 1u);
+  EXPECT_EQ(service.batches_formed(), 1u);
   EXPECT_EQ(service.cache().size(), 1u);
+}
+
+// A ReuseHook that records the deadline its revalidation is handed. With
+// `hold` set, try_reuse waits (up to 10 s) for that deadline to be cancelled,
+// the way a long proof revalidation polls it between SMT checks.
+class DeadlineRecordingReuse final : public svc::ReuseHook {
+ public:
+  std::atomic<bool> hold{false};
+  std::atomic<int> calls{0};
+  std::atomic<bool> saw_finite{false};
+  std::atomic<bool> saw_cancel{false};
+
+  std::optional<svc::CachedVerdict> try_reuse(const ts::TransitionSystem&, const ltl::Formula&,
+                                              core::Engine, int,
+                                              const util::Deadline& deadline) override {
+    saw_finite = deadline.is_finite();
+    calls.fetch_add(1);
+    if (hold) {
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!deadline.cancelled() && std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      saw_cancel = deadline.cancelled();
+    }
+    return std::nullopt;
+  }
+
+  svc::CachedVerdict record(const ts::TransitionSystem&, const ltl::Formula&, core::Engine, int,
+                            const core::CheckOutcome& outcome) override {
+    return svc::cached_from_outcome(outcome);
+  }
+};
+
+TEST(Service, ReuseRevalidationRunsUnderTheRequestDeadline) {
+  const ts::TransitionSystem sys = counter_system("reuse_deadline");
+  const expr::Expr x = expr::var_by_name("reuse_deadline.x");
+  DeadlineRecordingReuse reuse;
+  svc::Service service({.jobs = 1});
+  service.set_reuse(&reuse);
+
+  svc::CheckRequest request;
+  request.system = &sys;
+  request.property = ltl::G(ltl::atom(x <= 7));
+  request.engine = core::Engine::kKInduction;
+  request.max_depth = 10;
+  request.deadline = util::Deadline::after_seconds(60);
+  EXPECT_EQ(service.check(request).outcome.verdict, core::Verdict::kHolds);
+  ASSERT_EQ(reuse.calls.load(), 1);
+  EXPECT_TRUE(reuse.saw_finite) << "a finite request deadline must reach the revalidation";
+
+  // Cancelling the request reaches a revalidation already under way.
+  reuse.hold = true;
+  request.property = ltl::G(ltl::atom(x <= 6));
+  svc::PendingCheck pending = service.submit(request);
+  while (reuse.calls.load() < 2) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  pending.cancel();
+  const svc::CheckResponse cancelled = pending.wait();
+  EXPECT_TRUE(reuse.saw_cancel) << "the cancel did not reach the revalidation's deadline";
+  EXPECT_FALSE(cancelled.rejected);
 }
 
 // --- Session cache hook ------------------------------------------------------
@@ -818,6 +856,221 @@ TEST(FrameFuzz, MutatedFramesEndInAFrameOrAnError) {
   }
 }
 
+// --- Adversarial input: the store-tier decoders -----------------------------
+
+// Numbers and values a hostile or corrupted store might carry in place of a
+// well-formed field.
+const std::vector<std::string> kHostileTokens = {
+    "-5", "-1", "0", "1.5", "1e300", "-1e300", "2e19", "9007199254740993", "1e-300",
+    "null", "true", "[]", "{}", "\"\"", "\"timeout\"", "\"holds\"", "\"3/7\"", "[[[[1]]]]"};
+
+// One mutation of a store line: bit flips, truncation, a spliced byte run,
+// or a value replaced by a hostile token (structurally valid JSON that the
+// decoder must still range-check).
+template <typename Rng>
+std::string mutate_line(std::string line, Rng& rng) {
+  const auto below = [&](std::size_t n) {
+    return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+  };
+  switch (below(4)) {
+    case 0:
+      for (std::size_t n = 1 + below(4); n > 0 && !line.empty(); --n)
+        line[below(line.size())] ^= static_cast<char>(1u << below(8));
+      break;
+    case 1:
+      line.resize(below(line.size()));
+      break;
+    case 2: {
+      std::string junk(1 + below(8), '\0');
+      for (char& c : junk) c = static_cast<char>(rng());
+      line.insert(below(line.size() + 1), junk);
+      break;
+    }
+    default: {
+      // Replace the value after a random ':' up to the next ',' or '}'.
+      for (int tries = 0; tries < 8; ++tries) {
+        const std::size_t colon = line.find(':', below(line.size()));
+        if (colon == std::string::npos) continue;
+        const std::size_t end = line.find_first_of(",}", colon + 1);
+        if (end == std::string::npos) continue;
+        line.replace(colon + 1, end - colon - 1, kHostileTokens[below(kHostileTokens.size())]);
+        break;
+      }
+      break;
+    }
+  }
+  return line;
+}
+
+// Well-formed cache lines: a plain holds, an enriched holds (incremental
+// fields and an artifact), a violation with a trace over declared variables,
+// and a legacy v1 line.
+std::vector<std::string> store_line_corpus() {
+  const ts::TransitionSystem sys = counter_system("store_fuzz");
+  const core::CheckOutcome violated =
+      core::check(sys, ltl::G(ltl::atom(expr::var_by_name("store_fuzz.x") < 2)),
+                  {.engine = core::Engine::kBmc, .max_depth = 6});
+  svc::CachedVerdict enriched = holds_verdict(0.25);
+  enriched.message = "proved by 2-induction";
+  enriched.solver_checks = 12;
+  enriched.depth_reached = 3;
+  enriched.prop_key = key_of(7);
+  enriched.cone_fp = key_of(8);
+  enriched.artifact_json =
+      R"({"schema":"verdict-artifact-v1","kind":"kinduction","k":2,"pinned":{},"cubes":[]})";
+  return {
+      svc::cached_to_json(key_of(1), holds_verdict()),
+      svc::cached_to_json(key_of(2), enriched),
+      svc::cached_to_json(key_of(3), svc::cached_from_outcome(violated)),
+      R"({"schema":"verdict-cache-v1","key":"00000000000000000000000000000004",)"
+      R"("verdict":"holds","engine":"bmc","seconds":0.5,"solver_checks":4,"depth":2})",
+  };
+}
+
+// Seeded, deterministic mutation loop over the verdict-cache line decoder
+// every store tier shares: each mutated line must end in an entry or a
+// nullopt from cached_from_json, and an entry in an outcome or a nullopt
+// from outcome_from_cached. Neither may throw; an entry is never
+// indefinite.
+TEST(StoreFuzz, MutatedCacheLinesEndInAnEntryOrNothing) {
+  constexpr int kInputsPerSeed = 100000;
+  const std::vector<std::string> corpus = store_line_corpus();
+  for (const std::string& line : corpus) ASSERT_TRUE(svc::cached_from_json(line)) << line;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    std::mt19937_64 rng(seed);
+    std::size_t entries = 0, rejected = 0, outcomes = 0, throws = 0;
+    for (int input = 0; input < kInputsPerSeed; ++input) {
+      std::string line = corpus[rng() % corpus.size()];
+      for (std::size_t n = 1 + rng() % 2; n > 0; --n) line = mutate_line(std::move(line), rng);
+      try {
+        const auto entry = svc::cached_from_json(line);
+        if (!entry) {
+          ++rejected;
+          continue;
+        }
+        ++entries;
+        ASSERT_TRUE(svc::cacheable(entry->second)) << line;
+        if (svc::outcome_from_cached(entry->second)) ++outcomes;
+      } catch (...) {
+        ++throws;
+      }
+    }
+    EXPECT_EQ(throws, 0u) << "seed " << seed;
+    EXPECT_GT(entries, 0u) << "seed " << seed;
+    EXPECT_GT(rejected, 0u) << "seed " << seed;
+    EXPECT_GT(outcomes, 0u) << "seed " << seed;
+  }
+}
+
+// The segment's on-disk record layout (svc/segment.h), written here
+// independently of SegmentStore so the loop can plant payloads that carry a
+// valid checksum.
+std::uint32_t fnv1a32(const std::string& s) {
+  std::uint32_t h = 0x811c9dc5u;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x01000193u;
+  }
+  return h;
+}
+
+std::string segment_bytes(const std::vector<std::pair<Fingerprint, std::string>>& records) {
+  const auto put = [](std::string& out, auto value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  std::string out(svc::kSegmentMagic, sizeof(svc::kSegmentMagic));
+  put(out, svc::kSegmentVersion);
+  put(out, std::uint32_t{0});
+  for (const auto& [key, payload] : records) {
+    put(out, svc::kRecordMarker);
+    put(out, static_cast<std::uint32_t>(payload.size()));
+    put(out, key.hi);
+    put(out, key.lo);
+    put(out, fnv1a32(payload));
+    put(out, std::uint32_t{0});
+    out += payload;
+    out.append((8 - payload.size() % 8) % 8, '\0');
+  }
+  return out;
+}
+
+// Seeded mutation loop over whole segment files: records with mutated
+// payloads under valid checksums (so they reach the line decoder), then raw
+// byte damage to headers, markers, lengths and checksums. Opening must end in
+// a store or the constructor's documented std::runtime_error (foreign magic
+// or version); for_each and lookup must then return entries or nothing, and
+// never an indefinite one.
+TEST(StoreFuzz, MutatedSegmentFilesOpenOrRefuse) {
+  constexpr int kInputsPerSeed = 2000;
+  const std::vector<std::string> corpus = store_line_corpus();
+  char dir[] = "/tmp/svc_test.XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  const std::string path = std::string(dir) + "/fuzz.seg";
+  for (const std::uint64_t seed : {1u, 2u}) {
+    std::mt19937_64 rng(seed);
+    const auto below = [&](std::size_t n) {
+      return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+    };
+    std::size_t opened = 0, refused = 0, served = 0, throws = 0;
+    for (int input = 0; input < kInputsPerSeed; ++input) {
+      std::vector<std::pair<Fingerprint, std::string>> records;
+      for (const std::string& line : corpus)
+        records.emplace_back(svc::cached_from_json(line)->first,
+                             below(2) == 0 ? mutate_line(line, rng) : line);
+      std::string bytes = segment_bytes(records);
+      switch (below(5)) {
+        case 0:  // bit flips anywhere, header included
+          for (std::size_t n = 1 + below(4); n > 0; --n)
+            bytes[below(bytes.size())] ^= static_cast<char>(1u << below(8));
+          break;
+        case 1:  // truncation
+          bytes.resize(below(bytes.size()));
+          break;
+        case 2: {  // one record field set to an arbitrary 32-bit value
+          const std::size_t at = 16 + 8 * below((bytes.size() - 16) / 8);
+          const auto value = static_cast<std::uint32_t>(rng());
+          std::memcpy(bytes.data() + at + 4 * below(2), &value, sizeof(value));
+          break;
+        }
+        default:  // payload mutations only
+          break;
+      }
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+      try {
+        std::unique_ptr<svc::SegmentStore> segment;
+        try {
+          segment = std::make_unique<svc::SegmentStore>(path);
+        } catch (const std::runtime_error&) {
+          ++refused;
+          continue;
+        }
+        ++opened;
+        segment->for_each([&](const Fingerprint&, const svc::CachedVerdict& v) {
+          EXPECT_TRUE(svc::cacheable(v));
+          ++served;
+        });
+        for (const auto& [key, payload] : records) {
+          if (const std::optional<svc::CachedVerdict> v = segment->lookup(key)) {
+            EXPECT_TRUE(svc::cacheable(*v));
+            (void)svc::outcome_from_cached(*v);
+          }
+        }
+      } catch (...) {
+        ++throws;
+      }
+    }
+    EXPECT_EQ(throws, 0u) << "seed " << seed;
+    EXPECT_GT(opened, 0u) << "seed " << seed;
+    EXPECT_GT(refused, 0u) << "seed " << seed;
+    EXPECT_GT(served, 0u) << "seed " << seed;
+  }
+  ::unlink(path.c_str());
+  ::rmdir(dir);
+}
+
 TEST(Protocol, ParseRequestRejectsOutOfRangeAndHostileFields) {
   const std::string deep = std::string(100000, '[') + std::string(100000, ']');
   for (const std::string& payload : {
@@ -876,10 +1129,10 @@ TEST(ServiceBatch, BatchedVerdictsMatchOneAtATimeSubmission) {
       ltl::G(ltl::atom(y == 0)),  // holds (y never moves)
   };
 
-  // Reference: batching disabled — every request its own computation.
+  // Reference: a zero window — every request its own batch of one.
   std::vector<core::Verdict> reference;
   {
-    svc::Service service({.jobs = 2});
+    svc::Service service({.jobs = 2, .batch_window_seconds = 0.0});
     for (const ltl::Formula& prop : props) {
       svc::CheckRequest request;
       request.system = &sys;
@@ -888,7 +1141,8 @@ TEST(ServiceBatch, BatchedVerdictsMatchOneAtATimeSubmission) {
       request.max_depth = 10;
       reference.push_back(service.check(request).outcome.verdict);
     }
-    EXPECT_EQ(service.batches_formed(), 0u);
+    EXPECT_EQ(service.batches_formed(), props.size());
+    EXPECT_EQ(service.batched_requests(), props.size());
   }
 
   // Batched: many client threads submitting concurrently inside a generous
@@ -963,6 +1217,36 @@ TEST(ServiceBatch, OnCompleteFiresExactlyOnceIncludingRejects) {
   EXPECT_GE(rejected, 1);  // queue_limit 1 under an 8-deep burst must bounce
 }
 
+TEST(ServiceBatch, SessionFailureAnswersEveryMember) {
+  // The explicit engine refuses liveness properties by throwing from
+  // check_all. Both members of the batch still get an answer (an unknown,
+  // never cached) and their callbacks, and the service keeps serving.
+  const ts::TransitionSystem sys = counter_system("batch_fail");
+  const expr::Expr x = expr::var_by_name("batch_fail.x");
+  svc::Service service({.jobs = 1, .batch_window_seconds = 0.2});
+  std::atomic<int> fired{0};
+  svc::CheckRequest request;
+  request.system = &sys;
+  request.engine = core::Engine::kExplicit;
+  request.max_depth = 10;
+  request.on_complete = [&fired] { fired.fetch_add(1); };
+  request.property = ltl::F(ltl::atom(x == 3));
+  svc::PendingCheck first = service.submit(request);
+  request.property = ltl::F(ltl::atom(x == 2));
+  svc::PendingCheck second = service.submit(request);
+  for (svc::PendingCheck* p : {&first, &second}) {
+    const svc::CheckResponse r = p->wait();
+    EXPECT_EQ(r.outcome.verdict, core::Verdict::kUnknown);
+    EXPECT_NE(r.outcome.message.find("batch dispatch failed"), std::string::npos)
+        << r.outcome.message;
+    EXPECT_FALSE(r.cache_hit);
+  }
+  service.drain();
+  EXPECT_EQ(fired.load(), 2);
+  EXPECT_EQ(service.batches_formed(), 1u);
+  EXPECT_EQ(service.cache().size(), 0u);
+}
+
 TEST(ServiceBatch, CompletedBatchesAreFreed) {
   // A batch owns its members and each member refers back to its batch; the
   // back-reference must not keep the batch alive. The request's on_complete
@@ -1027,8 +1311,9 @@ TEST(ServiceBatch, BatchSystemNotReadAfterAnyMemberCompletes) {
 
 TEST(ServiceBatch, DuplicatePropertiesInOneBatchReportIndividualCacheHits) {
   // Two members of one batch carrying the identical property share a request
-  // fingerprint; their cache_hit flags must still be recorded per member
-  // (by session property index), not keyed by fingerprint.
+  // fingerprint, and the session checks it once. Each member still gets its
+  // own cache_hit flag: the member the property was added for reports how
+  // the session served it, its twin ran no engine.
   const ts::TransitionSystem sys = counter_system("batch4");
   const expr::Expr x = expr::var_by_name("batch4.x");
   const ltl::Formula prop = ltl::G(ltl::atom(x <= 7));
@@ -1049,12 +1334,13 @@ TEST(ServiceBatch, DuplicatePropertiesInOneBatchReportIndividualCacheHits) {
     return responses;
   };
 
-  // Cold cache: the shared session computes the pair — neither member may
-  // claim a hit just because its twin shares the fingerprint.
-  for (const svc::CheckResponse& r : wait_all({service.submit(request), service.submit(request)})) {
-    EXPECT_EQ(r.outcome.verdict, core::Verdict::kHolds);
-    EXPECT_FALSE(r.cache_hit);
-  }
+  // Cold cache: the shared session computes the property once, for the
+  // first member.
+  const std::vector<svc::CheckResponse> cold =
+      wait_all({service.submit(request), service.submit(request)});
+  for (const svc::CheckResponse& r : cold) EXPECT_EQ(r.outcome.verdict, core::Verdict::kHolds);
+  EXPECT_FALSE(cold[0].cache_hit);
+  EXPECT_TRUE(cold[1].cache_hit);
   // Warm cache: a fresh pair is answered from the LRU at admission and joins
   // no batch.
   for (const svc::CheckResponse& r : wait_all({service.submit(request), service.submit(request)})) {

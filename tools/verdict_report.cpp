@@ -147,17 +147,17 @@ JsonValue validate_stats_document(const std::string& text) {
           "svc.cache.miss",         "svc.cache.insert",
           "svc.cache.evict",        "svc.cache.reject",
           "svc.cache.load_skipped", "svc.cache_bypassed",
-          "svc.singleflight.shared", "svc.rehydrate_failed",
-          "svc.fp_memo_clears",     "svc.batches_formed",
-          "svc.batch_size",         "svc.frames_rejected",
-          "svc.model_cache.hit",    "svc.model_cache.miss",
-          "svc.ring.local",         "svc.ring.remote",
-          "svc.segment.hit",        "svc.segment.miss",
-          "svc.segment.append",     "svc.segment.loaded",
-          "svc.segment.skipped",    "svc.peer.get",
-          "svc.peer.hit",           "svc.peer.miss",
-          "svc.peer.put",           "svc.peer.serve_get",
-          "svc.peer.serve_put",     "svc.peer.unreachable",
+          "svc.rehydrate_failed",   "svc.fp_memo_clears",
+          "svc.batches_formed",     "svc.batch_size",
+          "svc.frames_rejected",    "svc.model_cache.hit",
+          "svc.model_cache.miss",   "svc.ring.local",
+          "svc.ring.remote",        "svc.segment.hit",
+          "svc.segment.miss",       "svc.segment.append",
+          "svc.segment.loaded",     "svc.segment.skipped",
+          "svc.peer.get",           "svc.peer.hit",
+          "svc.peer.miss",          "svc.peer.put",
+          "svc.peer.serve_get",     "svc.peer.serve_put",
+          "svc.peer.unreachable",
       };
       bool known = false;
       for (const char* k : kSvcCounters) known = known || name == k;

@@ -28,7 +28,8 @@
 //   --batch-window MS   coalescing window in milliseconds: requests arriving
 //                       within it that share a (model, engine, depth,
 //                       deadline-class) fingerprint are verified as ONE
-//                       shared session run (default 2; 0 disables batching)
+//                       shared session run (default 2; 0 dispatches every
+//                       request at once, as a batch of one)
 //   --batch-max N       max requests per batch (default 16)
 //   --max-message BYTES reject inbound frames larger than this
 //                       (default 8 MiB)
@@ -72,7 +73,7 @@ void handle_signal(int) {
                "  --cache-file FILE   persistent verdict store (NDJSON)\n"
                "  --segment-file FILE mmap'd crash-safe verdict segment\n"
                "  --cluster SPEC      comma-separated shard socket paths\n"
-               "  --batch-window MS   session-batching window, ms (2; 0 = off)\n"
+               "  --batch-window MS   session-batching window, ms (2; 0 = batches of one)\n"
                "  --batch-max N       max requests per batch (16)\n"
                "  --max-message BYTES inbound frame payload limit (8388608)\n"
                "  --trace-out FILE    stream structured events as NDJSON\n"
@@ -89,9 +90,6 @@ int main(int argc, char** argv) {
 
   svc::DaemonOptions options;
   options.service.jobs = 0;  // a daemon defaults to every hardware thread
-  // The service plane batches by default: a 2ms window is below human (and
-  // CI) noticing but wide enough to coalesce a management-plane burst.
-  options.service.batch_window_seconds = 0.002;
   std::string trace_out;
   std::string cluster;
   bool quiet = false;
