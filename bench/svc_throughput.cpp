@@ -15,20 +15,6 @@
 // Exit code: every served verdict must match the in-process check. The
 // throughput figures are reported, not gated; verdict-bench's `svc_mix`
 // workload is the end-to-end latency measurement of the daemon.
-//
-// With `--shards N` the bench instead measures the sharded verdict store
-// (docs/sharding.md). The resource sharding multiplies is aggregate cache
-// capacity: every shard runs the SAME per-daemon LRU budget, and the working
-// set (one bounded-counter property per module, 48 distinct request
-// fingerprints) exceeds one shard's budget but fits the cluster's. For S in
-// {1, N} the bench stands up S verdictd event loops joined on one
-// consistent-hash ring, partitions the properties by ring owner (what
-// `verdictc --shard-of` computes for the management plane), and drives each
-// shard with closed-loop clients cycling through its partition. A single
-// shard thrashes its LRU and re-verifies; the cluster serves warm hits.
-// Gate: aggregate warm-hit QPS at N shards >= 1.8x the 1-shard figure, with
-// every verdict identical to the in-process check.
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,8 +32,6 @@
 #include "obs/json.h"
 #include "svc/client.h"
 #include "svc/daemon.h"
-#include "svc/fingerprint.h"
-#include "svc/ring.h"
 #include "svc/service.h"
 
 namespace {
@@ -57,10 +40,11 @@ using namespace verdict;
 
 // The pushed "config": a model big enough that parsing it is real work,
 // which the daemon's model cache amortizes. kModules independent bounded
-// counters, followed by the given `ltl` declarations.
+// counters, followed by two bound properties that k-induction proves
+// quickly.
 constexpr int kModules = 48;
 
-std::string counters_model(const std::string& ltl_lines) {
+std::string bench_model() {
   std::string vml;
   for (int i = 0; i < kModules; ++i) {
     const std::string m = "m" + std::to_string(i);
@@ -72,15 +56,9 @@ std::string counters_model(const std::string& ltl_lines) {
     vml += "  stutter always;\n";
     vml += "}\n\n";
   }
-  return vml + "system {\n  schedule interleaving;\n" + ltl_lines + "}\n";
-}
-
-// The throughput workload: two bound properties that k-induction proves
-// quickly.
-std::string bench_model() {
-  return counters_model("  ltl head_bounded \"G (m0.c <= 7)\";\n"
-                        "  ltl tail_bounded \"G (m" + std::to_string(kModules - 1) +
-                        ".c <= 7)\";\n");
+  return vml + "system {\n  schedule interleaving;\n" +
+         "  ltl head_bounded \"G (m0.c <= 7)\";\n"
+         "  ltl tail_bounded \"G (m" + std::to_string(kModules - 1) + ".c <= 7)\";\n}\n";
 }
 
 const std::vector<std::string> kProps = {"head_bounded", "tail_bounded"};
@@ -107,13 +85,12 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-// Client c connects to `sockets[c % S]` and repeats `request(client, c, n)`
-// (n = that client's request count so far) until `seconds` pass. `request`
-// returns false on a verdict mismatch.
-using Request = std::function<bool(svc::Client&, std::size_t, std::size_t)>;
+// Every client connects to `socket` and repeats `request(client)` until
+// `seconds` pass. `request` returns false on a verdict mismatch.
+using Request = std::function<bool(svc::Client&)>;
 
-LoadPoint run_point(const std::vector<std::string>& sockets, std::size_t clients,
-                    double seconds, const Request& request) {
+LoadPoint run_point(const std::string& socket, std::size_t clients, double seconds,
+                    const Request& request) {
   using Clock = std::chrono::steady_clock;
   LoadPoint point;
   point.clients = clients;
@@ -129,10 +106,10 @@ LoadPoint run_point(const std::vector<std::string>& sockets, std::size_t clients
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       try {
-        svc::Client client(sockets[c % sockets.size()], kClientOptions);
-        for (std::size_t n = 0; Clock::now() < stop_at; ++n) {
+        svc::Client client(socket, kClientOptions);
+        while (Clock::now() < stop_at) {
           const Clock::time_point t0 = Clock::now();
-          if (!request(client, c, n)) ok.store(false);
+          if (!request(client)) ok.store(false);
           latencies[c].push_back(
               std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
         }
@@ -172,215 +149,9 @@ void point_fields(obs::JsonWriter& w, const LoadPoint& point) {
   w.kv("verdicts_ok", point.verdicts_ok);
 }
 
-// ---------------------------------------------------------------------------
-// Sharded verdict store (`--shards N`): aggregate warm-hit QPS, S in {1, N}.
-// ---------------------------------------------------------------------------
-
-// The sharding workload: one LTL property PER module — kModules distinct
-// request fingerprints, which is the working set the cluster's aggregate
-// cache must hold.
-std::string shard_model() {
-  std::string ltl_lines;
-  for (int i = 0; i < kModules; ++i)
-    ltl_lines += "  ltl m" + std::to_string(i) + "_bounded \"G (m" + std::to_string(i) +
-                 ".c <= 7)\";\n";
-  return counters_model(ltl_lines);
-}
-
-// Per-daemon LRU budget for the sharding phases. The working set is kModules
-// entries: bigger than one shard's cache, comfortably inside N of them.
-constexpr std::size_t kShardCacheCapacity = 32;
-
-// One in-process shard cluster: S daemons joined on the same ring spec, each
-// with the SAME cache budget and a zero batch window (every request its own
-// batch of one, dispatched at once), so the only thing N shards
-// add over 1 is aggregate capacity (plus the peer tier).
-class ShardCluster {
- public:
-  ShardCluster(const std::string& dir, std::size_t shards) {
-    for (std::size_t s = 0; s < shards; ++s)
-      sockets_.push_back(dir + "/shard" + std::to_string(s) + ".sock");
-    std::string spec;
-    for (const std::string& path : sockets_)
-      spec += (spec.empty() ? "" : ",") + path;
-    for (const std::string& path : sockets_) {
-      svc::DaemonOptions options;
-      options.socket_path = path;
-      options.service.jobs = 0;
-      options.service.batch_window_seconds = 0.0;
-      options.service.cache.capacity = kShardCacheCapacity;
-      options.service.cluster = spec;
-      options.service.self_id = path;
-      daemons_.push_back(std::make_unique<svc::Daemon>(options));
-    }
-    for (auto& daemon : daemons_)
-      threads_.emplace_back([&daemon] { daemon->serve(); });
-  }
-
-  ~ShardCluster() {
-    for (auto& daemon : daemons_) daemon->request_stop();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  [[nodiscard]] const std::vector<std::string>& sockets() const { return sockets_; }
-
- private:
-  std::vector<std::string> sockets_;
-  std::vector<std::unique_ptr<svc::Daemon>> daemons_;
-  std::vector<std::thread> threads_;
-};
-
-// Split the property names by ring owner — the same routing decision
-// `verdictc --shard-of` prints for the management plane.
-std::vector<std::vector<std::string>> partition_by_ring(
-    const mdl::VmlModel& parsed, const std::vector<std::string>& sockets) {
-  const svc::Ring ring = svc::Ring::from_nodes(sockets);
-  std::vector<std::vector<std::string>> parts(sockets.size());
-  for (const auto& [name, property] : parsed.ltl_properties) {
-    const svc::Fingerprint fp = svc::fingerprint_request(
-        parsed.system, property, core::Engine::kKInduction, kDepth);
-    parts[ring.owner(fp)].push_back(name);
-  }
-  return parts;
-}
-
-// Push every shard's partition through it once, so each shard's LRU holds
-// exactly the entries it owns before measurement starts.
-bool warm_shards(const std::vector<std::string>& sockets, const std::string& model,
-                 const std::vector<std::vector<std::string>>& parts,
-                 const std::map<std::string, core::Verdict>& expected) {
-  for (std::size_t s = 0; s < sockets.size(); ++s) {
-    if (parts[s].empty()) continue;
-    svc::Client client(sockets[s], kClientOptions);
-    const std::vector<svc::ClientVerdict> verdicts =
-        client.check(model, parts[s], core::Engine::kKInduction, kDepth, 0.0);
-    if (verdicts.size() != parts[s].size()) return false;
-    for (std::size_t i = 0; i < verdicts.size(); ++i)
-      if (verdicts[i].outcome.verdict != expected.at(parts[s][i])) return false;
-  }
-  return true;
-}
-
-
-int run_shard_mode(std::size_t shards) {
-  bench::header("Sharded verdict store — aggregate warm-hit QPS vs shard count");
-
-  const std::string model = shard_model();
-  const mdl::VmlModel parsed = mdl::parse_vml(model);
-  std::map<std::string, core::Verdict> expected;
-  for (const auto& [name, property] : parsed.ltl_properties)
-    expected[name] = core::check(parsed.system, property,
-                                 {.engine = core::Engine::kKInduction,
-                                  .max_depth = kDepth})
-                         .verdict;
-
-  // Fixed offered load: the client count does NOT grow with the shard count.
-  std::size_t clients = 8;
-  double seconds = 1.5;
-  if (bench::smoke()) {
-    clients = 4;
-    seconds = 0.5;
-  } else if (bench::full_sweep()) {
-    clients = 16;
-    seconds = 3.0;
-  }
-  std::printf("model: %d modules, %zu props (one per module), per-shard LRU "
-              "budget %zu entries;\n%zu clients total, %.1fs per point, "
-              "batch window 0\n",
-              kModules, expected.size(), kShardCacheCapacity, clients, seconds);
-  std::printf("\n%-8s | %11s | %12s | %11s | %11s | %s\n", "shards", "load",
-              "throughput", "p50", "p99", "volume");
-
-  char sock_dir[] = "/tmp/svc_shards.XXXXXX";
-  if (::mkdtemp(sock_dir) == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    return 1;
-  }
-  const std::string dir(sock_dir);
-  bench::JsonRows rows("svc_throughput_shards");
-
-  bool verdicts_ok = true;
-  double qps_by_count[2] = {0.0, 0.0};
-  const std::size_t counts[2] = {1, shards};
-  for (int phase = 0; phase < 2; ++phase) {
-    const std::size_t s = counts[phase];
-    const std::string phase_dir = dir + "/s" + std::to_string(s);
-    if (::mkdir(phase_dir.c_str(), 0700) != 0) {
-      std::fprintf(stderr, "mkdir %s failed\n", phase_dir.c_str());
-      return 1;
-    }
-    ShardCluster cluster(phase_dir, s);
-    const std::vector<std::vector<std::string>> parts =
-        partition_by_ring(parsed, cluster.sockets());
-    verdicts_ok = warm_shards(cluster.sockets(), model, parts, expected) && verdicts_ok;
-    // Client c is pinned to the c-th shard (mod S) that owns any property and
-    // cycles through that shard's partition, one property per request.
-    std::vector<std::string> sockets;
-    std::vector<const std::vector<std::string>*> owned;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (parts[i].empty()) continue;
-      sockets.push_back(cluster.sockets()[i]);
-      owned.push_back(&parts[i]);
-    }
-    const LoadPoint point = run_point(
-        sockets, clients, seconds,
-        [&](svc::Client& client, std::size_t c, std::size_t n) {
-          const std::vector<std::string>& mine = *owned[c % owned.size()];
-          // Offset by c / S to desync clients on one shard.
-          const std::string& prop = mine[(c / owned.size() + n) % mine.size()];
-          const std::vector<svc::ClientVerdict> verdicts =
-              client.check(model, {prop}, core::Engine::kKInduction, kDepth, 0.0);
-          return verdicts.size() == 1 && verdicts[0].outcome.verdict == expected.at(prop);
-        });
-    verdicts_ok = verdicts_ok && point.verdicts_ok;
-    qps_by_count[phase] = point.qps;
-    print_point(std::to_string(s), point);
-    rows.row([&](obs::JsonWriter& w) {
-      w.kv("shards", s);
-      point_fields(w, point);
-    });
-  }
-
-  const double scaling =
-      qps_by_count[0] > 0 ? qps_by_count[1] / qps_by_count[0] : 0.0;
-  const bool fast_enough = scaling >= 1.8;
-  std::printf("\naggregate warm-hit: 1 shard %.0f QPS (LRU thrash, working set "
-              "%zu > budget %zu), %zu shards %.0f QPS (%.2fx, target >= 1.8x)\n",
-              qps_by_count[0], expected.size(), kShardCacheCapacity, shards,
-              qps_by_count[1], scaling);
-  rows.row([&](obs::JsonWriter& w) {
-    w.kv("summary", true);
-    w.kv("shards", shards);
-    w.kv("one_shard_qps", qps_by_count[0]);
-    w.kv("sharded_qps", qps_by_count[1]);
-    w.kv("scaling", scaling);
-    w.kv("verdicts_ok", verdicts_ok);
-  });
-  if (!verdicts_ok) std::printf("FAILED: verdict mismatch against in-process check\n");
-  if (!fast_enough)
-    std::printf("FAILED: %zu-shard aggregate QPS below 1.8x the single-shard figure\n",
-                shards);
-  for (const std::string& sub : {std::string("/s1"), "/s" + std::to_string(shards)})
-    ::rmdir((dir + sub).c_str());
-  ::rmdir(sock_dir);
-  return verdicts_ok && fast_enough ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::size_t shards = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else {
-      std::fprintf(stderr, "usage: %s [--shards N]\n", argv[0]);
-      return 1;
-    }
-  }
-  if (shards > 1) return run_shard_mode(shards);
-
+int main() {
   bench::header("Service-plane throughput — closed-loop load, saturation QPS");
 
   const std::string model = bench_model();
@@ -441,9 +212,8 @@ int main(int argc, char** argv) {
   }
   double saturation_qps = 0.0;
   for (const std::size_t clients : client_counts) {
-    const LoadPoint point = run_point(
-        {options.socket_path}, clients, seconds,
-        [&](svc::Client& client, std::size_t, std::size_t) {
+    const LoadPoint point =
+        run_point(options.socket_path, clients, seconds, [&](svc::Client& client) {
           return matches(client.check(model, kProps, core::Engine::kKInduction, kDepth, 0.0));
         });
     verdicts_ok = verdicts_ok && point.verdicts_ok;

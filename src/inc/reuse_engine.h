@@ -9,8 +9,8 @@
 //
 //   kHolds, cone fingerprint unchanged, artifact validated this process
 //       -> carried verbatim, zero solver work        [inc.properties_reused]
-//   kHolds, cone changed (or artifact not yet validated here, e.g. loaded
-//   from a cache file after a restart)
+//   kHolds, cone changed (or artifact not yet validated here, e.g. replayed
+//   from the segment after a restart)
 //       -> artifact revalidated against the property's RAW cone subsystem
 //          (two SMT checks)                     [inc.invariants_revalidated
 //                                                / inc.revalidation_failed]
@@ -73,7 +73,7 @@ class ReuseEngine : public svc::ReuseHook {
   /// state.
   explicit ReuseEngine(svc::VerdictCache& cache);
 
-  /// Re-indexes every enriched cache entry (after VerdictCache::load).
+  /// Re-indexes every enriched cache entry (after the segment warmed it).
   /// Indexed entries start cone_valid=false: their artifacts came from disk
   /// and must pass revalidation before any kHolds is carried. Returns the
   /// number of entries indexed.

@@ -126,8 +126,6 @@ struct Daemon::Impl {
   void queue_message(Conn& conn, FrameType type, std::string_view payload);
   void protocol_error(Conn& conn, const std::string& id, const std::string& message);
   void process_request(Conn& conn, const std::string& payload);
-  void serve_peer_get(Conn& conn, const std::string& payload);
-  void serve_peer_put(const std::string& payload);
   void drain_completions();
   // allow_close=false when called under a caller that still holds a
   // reference to the Conn (process_request inside the read path) — the
@@ -194,7 +192,7 @@ Daemon::Daemon(const DaemonOptions& options) : impl_(std::make_unique<Impl>()) {
   if (::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->wake_pipe[0], &ev) != 0)
     fail("epoll_ctl(wake)");
 
-  // The Service loads the cache file (if any) here, before we are reachable.
+  // The Service replays the segment (if any) here, before we are reachable.
   impl_->service = std::make_unique<Service>(options.service);
 }
 
@@ -367,67 +365,16 @@ void Daemon::Impl::consume(Conn& conn) {
       protocol_error(conn, "", result.error);
       return;
     }
-    switch (result.frame.type) {
-      case FrameType::kRequest:
-        process_request(conn, result.frame.payload);
-        break;
-      case FrameType::kPeerGet:
-        serve_peer_get(conn, result.frame.payload);
-        break;
-      case FrameType::kPeerPut:
-        serve_peer_put(result.frame.payload);
-        break;
-      default:
-        obs::count("svc.frames_rejected");
-        protocol_error(conn, "",
-                       std::string("unexpected ") + frame_type_name(result.frame.type) +
-                           " frame from client (only request frames flow this way)");
-        return;
+    if (result.frame.type != FrameType::kRequest) {
+      obs::count("svc.frames_rejected");
+      protocol_error(conn, "",
+                     std::string("unexpected ") + frame_type_name(result.frame.type) +
+                         " frame from client (only request frames flow this way)");
+      return;
     }
+    process_request(conn, result.frame.payload);
     if (conn.poisoned || conn.dead) return;
   }
-}
-
-// PEER_GET is answered from THIS shard's local tiers only — LRU, then the
-// mmap'd segment — inline on the event loop: no verification run, no hop to
-// a further peer. Both are memory-speed, so serving them here costs less
-// than marshalling to a worker, and the no-recursion rule means two shards
-// can never deadlock asking each other.
-void Daemon::Impl::serve_peer_get(Conn& conn, const std::string& payload) {
-  obs::count("svc.peer.serve_get");
-  std::optional<Fingerprint> key;
-  try {
-    const obs::JsonValue doc = obs::parse_json(payload);
-    if (doc["key"].is_string()) key = Fingerprint::parse(doc["key"].string);
-  } catch (const std::exception&) {
-  }
-  if (!key) {
-    obs::count("svc.frames_rejected");
-    protocol_error(conn, "", "malformed peer_get payload (want {\"key\":<hex>})");
-    return;
-  }
-  std::optional<CachedVerdict> held = service->store_lookup(*key);
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("hit", held.has_value());
-  w.kv("key", key->str());
-  if (held) {
-    w.key("entry");
-    w.raw_value(cached_to_json(*key, *held));
-  }
-  w.end_object();
-  queue_message(conn, FrameType::kPeerGet, w.str());
-}
-
-// PEER_PUT is one-way by protocol: no response frame, so a slow receiving
-// shard cannot make the pushing shard block on acknowledgements. A payload
-// that fails validation (malformed, or a non-cacheable verdict) is dropped —
-// losing a push costs a future recompute, never correctness.
-void Daemon::Impl::serve_peer_put(const std::string& payload) {
-  obs::count("svc.peer.serve_put");
-  std::optional<std::pair<Fingerprint, CachedVerdict>> entry = cached_from_json(payload);
-  if (!entry) return;
-  service->store_insert(entry->first, std::move(entry->second));
 }
 
 void Daemon::Impl::queue_message(Conn& conn, FrameType type,

@@ -27,8 +27,7 @@
 //
 // request_stop() makes serve() stop accepting and stop reading, finishes
 // every admitted request, flushes the response buffers, and drains the
-// Service — in-flight verdicts complete and the cache file is persisted
-// before serve() returns.
+// Service — in-flight verdicts complete before serve() returns.
 #pragma once
 
 #include <cstdint>

@@ -14,10 +14,6 @@ const char* frame_type_name(FrameType type) {
       return "done";
     case FrameType::kError:
       return "error";
-    case FrameType::kPeerGet:
-      return "peer_get";
-    case FrameType::kPeerPut:
-      return "peer_put";
   }
   return "?";
 }
@@ -26,7 +22,7 @@ namespace {
 
 bool known_type(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(FrameType::kRequest) &&
-         raw <= static_cast<std::uint8_t>(FrameType::kPeerPut);
+         raw <= static_cast<std::uint8_t>(FrameType::kError);
 }
 
 }  // namespace

@@ -42,12 +42,6 @@ enum class FrameType : std::uint8_t {
   kVerdict = 2,  // server -> client: one per-property verdict object
   kDone = 3,     // server -> client: stream terminator for one request
   kError = 4,    // server -> client: request failure
-  // Shard-to-shard cache exchange (docs/sharding.md). Served straight off the
-  // daemon's store tiers — never triggers verification or a recursive fetch.
-  kPeerGet = 5,  // shard -> shard: fetch one verdict by fingerprint (answered
-                 // with a kPeerGet frame carrying hit/miss)
-  kPeerPut = 6,  // shard -> shard: push one verdict to its ring owner
-                 // (one-way; no response frame)
 };
 
 /// Wire name for diagnostics ("request", "verdict", ...).

@@ -1,12 +1,9 @@
-// Mmap'd persistent verdict segment: the crash-safe middle store tier.
+// Mmap'd persistent verdict segment: the store behind the in-process LRU.
 //
-// The NDJSON cache file (VerdictCache::save_file) is a whole-cache snapshot
-// written at drain — a daemon killed between snapshots loses every verdict
-// computed since the last one. The segment closes that window on the hot
-// path: every fresh definitive verdict is appended to an mmap'd append-only
-// log *when it is computed*, so after a crash (SIGKILL, OOM) the next start
-// replays the log and the warm set survives. Lookup order per daemon is
-// LRU -> segment -> peer (docs/sharding.md).
+// Every definitive verdict the service computes or carries over is appended
+// to an mmap'd append-only log *when it is stored*, so a restart — graceful
+// or after a crash (SIGKILL, OOM) — replays the log and the warm set
+// survives. Lookup order per daemon is LRU -> segment (docs/service.md).
 //
 // On-disk layout (native-endian; a segment is per-host state, not an
 // interchange format):

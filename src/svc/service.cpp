@@ -68,42 +68,25 @@ std::uint64_t deadline_bucket(const util::Deadline& d) {
   return static_cast<std::uint64_t>(d.remaining_seconds() * 10.0);
 }
 
-// The store tiers in lookup order — LRU, persistent segment, ring owner —
-// and their write-through rule. SessionCache and PEER_GET / PEER_PUT serving
-// both walk the tiers through this one type. `segment` is null without a
-// segment file; `peers` is null off a cluster, and for PEER_GET serving,
-// which answers from this shard's local tiers only so a peer lookup stays
-// one hop.
+// The verdict store: the LRU, then the persistent segment (null without a
+// segment file). SessionCache walks it through this one type.
 struct StoreTiers {
   VerdictCache* lru = nullptr;
   SegmentStore* segment = nullptr;
-  PeerExchange* peers = nullptr;
 
-  /// The LRU, the segment, then the shard the ring assigns `key` to; a
-  /// lower-tier hit is re-inserted into the LRU.
+  /// The LRU, then the segment; a segment hit is re-inserted into the LRU.
   [[nodiscard]] std::optional<CachedVerdict> lookup(const Fingerprint& key) const {
     if (std::optional<CachedVerdict> held = lru->lookup(key)) return held;
-    std::optional<CachedVerdict> held;
-    if (segment != nullptr) held = segment->lookup(key);
-    if (!held && peers != nullptr) {
-      if (peers->owns(key)) {
-        obs::count("svc.ring.local");
-      } else {
-        obs::count("svc.ring.remote");
-        held = peers->fetch(key);
-      }
-    }
+    if (segment == nullptr) return std::nullopt;
+    std::optional<CachedVerdict> held = segment->lookup(key);
     if (held) lru->insert(key, *held);
     return held;
   }
 
-  /// Writes through every tier. The segment makes a fresh verdict
-  /// crash-durable now (not at the next snapshot), and the ring owner gets a
-  /// copy so every shard is one peer hop from it. Every tier drops
-  /// non-definitive verdicts on its own.
+  /// Writes through both: the segment makes the verdict crash-durable when
+  /// it is stored. Each drops non-definitive verdicts on its own.
   void store(const Fingerprint& key, CachedVerdict value) const {
     if (segment != nullptr) segment->append(key, value);
-    if (peers != nullptr) peers->publish(key, value);
     lru->insert(key, std::move(value));
   }
 };
@@ -205,18 +188,10 @@ Service::Service(const ServiceOptions& options)
       cache_(std::make_unique<VerdictCache>(options.cache)),
       pool_(std::make_unique<portfolio::ThreadPool>(options.jobs)),
       inflight_(std::make_unique<Inflight>()) {
-  if (!options_.cache_file.empty()) {
-    const std::size_t loaded = cache_->load_file(options_.cache_file);
-    if (obs::TraceSink* s = obs::sink())
-      s->event("svc.cache_loaded")
-          .attr("file", options_.cache_file)
-          .attr("entries", loaded)
-          .emit();
-  }
   if (!options_.segment_file.empty()) {
     segment_ = std::make_unique<SegmentStore>(options_.segment_file);
-    // Warm the LRU from the segment so segment entries behave exactly like
-    // snapshot-loaded ones (the ReuseEngine index rebuild sees them too).
+    // Warm the LRU from the segment, so a restart starts warm and the
+    // ReuseEngine index rebuild sees the replayed entries.
     segment_->for_each([this](const Fingerprint& key, const CachedVerdict& v) {
       cache_->insert(key, v);
     });
@@ -226,9 +201,6 @@ Service::Service(const ServiceOptions& options)
           .attr("entries", segment_->size())
           .emit();
   }
-  if (!options_.cluster.empty())
-    peers_ = std::make_unique<PeerExchange>(Ring::from_spec(options_.cluster),
-                                            options_.self_id, options_.peer);
   batcher_ = std::make_unique<Batcher>();
   batcher_->thread = std::thread([this] { batcher_loop(); });
 }
@@ -413,7 +385,6 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
   Inflight* inflight = inflight_.get();
   VerdictCache* cache = cache_.get();
   SegmentStore* segment = segment_.get();
-  PeerExchange* peers = peers_.get();
   ReuseHook* reuse = reuse_;
 
   std::size_t members = 0;
@@ -432,7 +403,7 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
     s->event("svc.batch").attr("members", members).emit();
 
   portfolio::JobHandle handle = pool_->submit_cancellable(
-      [batch, inflight, cache, segment, peers, reuse](const util::CancelToken& token) {
+      [batch, inflight, cache, segment, reuse](const util::CancelToken& token) {
         obs::count("svc.queue.dequeued", batch->entries.size());
         for (Batch::Entry& entry : batch->entries)
           entry.slot->queue_seconds = entry.queued.elapsed_seconds();
@@ -441,7 +412,7 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
 
         // One shared session over the batch's distinct request fingerprints:
         // members carrying the same one share its property. The hook gives
-        // each property its store-tier lookup (and ReuseHook carry-over)
+        // each property its store lookup (and ReuseHook carry-over)
         // before any engine runs, and offers fresh outcomes back; for the
         // escape-hatch flags the session skips the lookup and only refreshes.
         std::vector<std::size_t> property_of(batch->entries.size());
@@ -456,7 +427,7 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
             if (fresh) session.add_property("b" + std::to_string(i), entry.property);
             property_of[i] = it->second;
           }
-          SessionCache hook(*cache, reuse, segment, peers);
+          SessionCache hook(*cache, reuse, segment);
           core::SessionOptions so;
           so.engine = batch->engine;
           so.max_depth = batch->max_depth;
@@ -536,14 +507,6 @@ void Service::drain() {
     std::unique_lock<std::mutex> lock(inflight_->mu);
     inflight_->cv.wait(lock, [this] { return inflight_->active == 0; });
   }
-  if (!options_.cache_file.empty() && cache_) {
-    cache_->save_file(options_.cache_file);
-    if (obs::TraceSink* s = obs::sink())
-      s->event("svc.cache_saved")
-          .attr("file", options_.cache_file)
-          .attr("entries", cache_->size())
-          .emit();
-  }
 }
 
 std::size_t Service::queue_depth() const {
@@ -571,14 +534,6 @@ std::uint64_t Service::batched_requests() const {
   return batcher_->batched_requests;
 }
 
-std::optional<CachedVerdict> Service::store_lookup(const Fingerprint& key) {
-  return StoreTiers{cache_.get(), segment_.get(), nullptr}.lookup(key);
-}
-
-void Service::store_insert(const Fingerprint& key, CachedVerdict value) {
-  StoreTiers{cache_.get(), segment_.get(), nullptr}.store(key, std::move(value));
-}
-
 std::optional<core::CheckOutcome> SessionCache::lookup(
     const ts::TransitionSystem& system, const ltl::Formula& property,
     core::Engine engine, int max_depth, const util::Deadline& deadline) {
@@ -591,16 +546,17 @@ std::optional<core::CheckOutcome> SessionCache::lookup(
     return outcome;
   };
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
-  if (std::optional<CachedVerdict> held = StoreTiers{&cache_, segment_, peers_}.lookup(key))
-    return rehydrate(*held);
+  const StoreTiers store{&cache_, segment_};
+  if (std::optional<CachedVerdict> held = store.lookup(key)) return rehydrate(*held);
   if (reuse_ != nullptr) {
     // Exact miss: a previous model version may still answer (svc/reuse.h).
-    // Carried verdicts are re-inserted under this request's fingerprint so
-    // the next identical lookup is an exact hit.
+    // Carried verdicts are stored under this request's fingerprint, segment
+    // included, so the next identical lookup — after a restart too — is an
+    // exact hit.
     if (std::optional<CachedVerdict> carried =
             reuse_->try_reuse(system, property, engine, max_depth, deadline)) {
       std::optional<core::CheckOutcome> outcome = rehydrate(*carried);
-      if (outcome) cache_.insert(key, std::move(*carried));
+      if (outcome) store.store(key, std::move(*carried));
       return outcome;
     }
   }
@@ -611,7 +567,7 @@ void SessionCache::store(const ts::TransitionSystem& system,
                          const ltl::Formula& property, core::Engine engine,
                          int max_depth, const core::CheckOutcome& outcome) {
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
-  StoreTiers{&cache_, segment_, peers_}.store(
+  StoreTiers{&cache_, segment_}.store(
       key, reuse_ != nullptr ? reuse_->record(system, property, engine, max_depth, outcome)
                              : cached_from_outcome(outcome));
 }

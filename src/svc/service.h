@@ -8,11 +8,11 @@
 //   * a portfolio::ThreadPool — every dispatched batch becomes one pool job,
 //     so K clients with N properties each saturate the hardware instead of
 //     each spawning private solvers threads,
-//   * a VerdictCache — requests are fingerprinted (svc/fingerprint.h) and
-//     served from cache when a definitive verdict is known. When configured
-//     as a cluster shard, the LRU is the first of three store tiers — LRU,
-//     mmap'd segment (svc/segment.h), ring-owner peer fetch (svc/peer.h) —
-//     consulted in that order on a miss (docs/sharding.md),
+//   * one verdict store — requests are fingerprinted (svc/fingerprint.h) and
+//     served from it when a definitive verdict is known. The store is the
+//     in-process LRU (VerdictCache) in front of the optional mmap'd segment
+//     (svc/segment.h): a lookup tries the LRU, then the segment; a fresh
+//     verdict is written through both,
 //   * a bounded admission queue — at most `queue_limit` admitted-but-
 //     unfinished requests; beyond that submit() rejects immediately with a
 //     kUnknown outcome instead of letting latency grow without bound. A
@@ -28,14 +28,14 @@
 //     fingerprint is checked once per batch; members carrying the same one
 //     share its outcome. Verdicts are identical to one-at-a-time submission
 //     (the session crosscheck suite asserts parity). The batch runs with a
-//     SessionCache hook, so each property still consults the store tiers (and
+//     SessionCache hook, so each property still consults the store (and
 //     the incremental reuse layer) before any engine runs and offers its
 //     fresh outcome back.
 //
 // drain() (also run by the destructor) stops admission, flushes any batch
-// still coalescing, waits for every in-flight request, and persists the
-// cache when a cache file is configured — the graceful-SIGTERM path of
-// verdictd.
+// still coalescing, and waits for every in-flight request — the
+// graceful-SIGTERM path of verdictd. Nothing is left to persist then: the
+// segment took every verdict when it was computed.
 #pragma once
 
 #include <functional>
@@ -45,7 +45,6 @@
 #include "core/checker.h"
 #include "core/session.h"
 #include "portfolio/pool.h"
-#include "svc/peer.h"
 #include "svc/reuse.h"
 #include "svc/segment.h"
 #include "svc/verdict_cache.h"
@@ -68,22 +67,11 @@ struct ServiceOptions {
   /// of waiting out the window.
   std::size_t batch_max = 16;
   CacheOptions cache;
-  /// When non-empty: the NDJSON snapshot file, loaded at construction and
-  /// saved (atomically, write-temp + rename) on drain().
-  std::string cache_file;
   /// When non-empty: the mmap'd persistent segment (svc/segment.h). Opened
-  /// at construction (its entries warm the LRU) and appended on every fresh
-  /// definitive verdict, so verdicts survive a crash between NDJSON
-  /// snapshots — the hot-path persistence tier.
+  /// at construction (its entries warm the LRU) and appended on every
+  /// definitive verdict the service computes or carries over, so verdicts
+  /// survive a restart and a crash alike.
   std::string segment_file;
-  /// Comma-separated cluster spec (every shard's socket path). When
-  /// non-empty, enables the peer tier: a local miss on a fingerprint the
-  /// ring assigns to another shard is fetched via PEER_GET before being
-  /// computed, and fresh verdicts are PEER_PUT to their ring owner.
-  /// `self_id` must then name this daemon's own entry in the spec.
-  std::string cluster;
-  std::string self_id;
-  PeerOptions peer;
 };
 
 /// One verification request: a property against a system. The system is
@@ -119,7 +107,7 @@ struct CheckRequest {
 
 struct CheckResponse {
   core::CheckOutcome outcome;
-  /// No engine ran for this request: a store-tier (or incremental reuse)
+  /// No engine ran for this request: a store (or incremental reuse)
   /// hit, or a batch twin that shared another member's run.
   bool cache_hit = false;
   /// Request bounced off the full admission queue; outcome is kUnknown.
@@ -163,21 +151,12 @@ class Service {
   [[nodiscard]] CheckResponse check(const CheckRequest& request);
 
   /// Stops admitting, flushes coalescing batches, waits for every in-flight
-  /// request, persists the cache (ServiceOptions::cache_file). Idempotent.
+  /// request. Idempotent.
   void drain();
 
   [[nodiscard]] VerdictCache& cache() { return *cache_; }
-  /// Persistent segment tier; null unless ServiceOptions::segment_file set.
+  /// Persistent segment; null unless ServiceOptions::segment_file set.
   [[nodiscard]] SegmentStore* segment() { return segment_.get(); }
-  /// Peer tier; null unless ServiceOptions::cluster set.
-  [[nodiscard]] PeerExchange* peers() { return peers_.get(); }
-
-  /// Local-tiers-only lookup (LRU, then segment — never the peer tier) and
-  /// insert (LRU + segment). This is what the daemon serves PEER_GET /
-  /// PEER_PUT from: peer questions are answered with what THIS shard holds,
-  /// one bounded hop, no recursion and no computation.
-  [[nodiscard]] std::optional<CachedVerdict> store_lookup(const Fingerprint& key);
-  void store_insert(const Fingerprint& key, CachedVerdict value);
 
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] std::uint64_t requests() const;
@@ -208,28 +187,26 @@ class Service {
   ServiceOptions options_;
   std::unique_ptr<VerdictCache> cache_;
   std::unique_ptr<SegmentStore> segment_;   // null without segment_file
-  std::unique_ptr<PeerExchange> peers_;     // null without a cluster spec
   std::unique_ptr<portfolio::ThreadPool> pool_;
   std::unique_ptr<Inflight> inflight_;
   std::unique_ptr<Batcher> batcher_;
   ReuseHook* reuse_ = nullptr;
 };
 
-/// core::PropertyCacheHook adapter over the store tiers: the hook every
+/// core::PropertyCacheHook adapter over the verdict store: the hook every
 /// service batch runs with, and usable by any embedded core::Session
 /// (bench/incremental_reverify) to share the same memoization layer.
 class SessionCache final : public core::PropertyCacheHook {
  public:
   /// `reuse` (optional, borrowed) adds cross-version reuse on exact-match
   /// misses: a verdict carried over from a previous model version is served
-  /// as a hit and re-inserted under the new request fingerprint; its
-  /// revalidation runs under the session's deadline. `segment` and `peers`
-  /// (optional, borrowed) extend misses through the daemon's remaining store
-  /// tiers in lookup order — segment, then ring owner — and write fresh
-  /// outcomes through to both.
+  /// as a hit and written through the store under the new request
+  /// fingerprint; its revalidation runs under the session's deadline.
+  /// `segment` (optional, borrowed) puts the persistent segment behind the
+  /// LRU: misses fall through to it, and every stored verdict is appended.
   explicit SessionCache(VerdictCache& cache, ReuseHook* reuse = nullptr,
-                        SegmentStore* segment = nullptr, PeerExchange* peers = nullptr)
-      : cache_(cache), reuse_(reuse), segment_(segment), peers_(peers) {}
+                        SegmentStore* segment = nullptr)
+      : cache_(cache), reuse_(reuse), segment_(segment) {}
 
   /// A stored or carried-over verdict whose trace does not rehydrate against
   /// `system` counts `svc.rehydrate_failed` and is a miss.
@@ -245,7 +222,6 @@ class SessionCache final : public core::PropertyCacheHook {
   VerdictCache& cache_;
   ReuseHook* reuse_ = nullptr;
   SegmentStore* segment_ = nullptr;
-  PeerExchange* peers_ = nullptr;
 };
 
 }  // namespace verdict::svc

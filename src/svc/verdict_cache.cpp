@@ -1,7 +1,5 @@
 #include "svc/verdict_cache.h"
 
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <list>
 #include <mutex>
@@ -17,9 +15,6 @@ namespace verdict::svc {
 namespace {
 
 const char* kSchema = "verdict-cache-v2";
-// v1 lines (pre-incremental) are still accepted on load: they simply carry
-// none of the inc enrichment fields, which all default to "absent".
-const char* kSchemaV1 = "verdict-cache-v1";
 
 }  // namespace
 
@@ -76,8 +71,7 @@ std::optional<std::pair<Fingerprint, CachedVerdict>> cached_from_json(
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (!doc.is_object() || !doc["schema"].is_string() ||
-      (doc["schema"].string != kSchema && doc["schema"].string != kSchemaV1) ||
+  if (!doc.is_object() || !doc["schema"].is_string() || doc["schema"].string != kSchema ||
       !doc["key"].is_string() || !doc["verdict"].is_string()) {
     return std::nullopt;
   }
@@ -111,9 +105,9 @@ std::optional<std::pair<Fingerprint, CachedVerdict>> cached_from_json(
     if (const std::optional<Fingerprint> fp = Fingerprint::parse(doc["cone_fp"].string))
       v.cone_fp = *fp;
   if (doc.has("artifact")) v.artifact_json = obs::to_json(doc["artifact"]);
-  // The cacheability rule applies on every way IN — file load, segment scan,
-  // peer response: a tampered or stale source cannot plant an UNKNOWN (or a
-  // trace-less violation).
+  // The cacheability rule applies on the way IN from the segment too: a
+  // tampered or stale record cannot plant an UNKNOWN (or a trace-less
+  // violation).
   if (!cacheable(v)) return std::nullopt;
   return std::make_pair(*key, std::move(v));
 }
@@ -234,58 +228,6 @@ void VerdictCache::for_each(
     }
     for (const auto& [key, v] : snapshot) fn(key, v);
   }
-}
-
-// --- persistence -------------------------------------------------------------
-
-void VerdictCache::save(std::ostream& out) const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [key, v] : shard->lru) out << cached_to_json(key, v) << '\n';
-  }
-}
-
-void VerdictCache::save_file(const std::string& path) const {
-  // Write-temp + rename: rename(2) is atomic within a filesystem, so readers
-  // (another shard loading the file, a restarted daemon) see either the
-  // previous complete snapshot or the new one — never a torn file.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("VerdictCache: cannot write " + tmp);
-    save(out);
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("VerdictCache: short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("VerdictCache: cannot rename " + tmp + " -> " + path);
-  }
-}
-
-std::size_t VerdictCache::load(std::istream& in) {
-  std::size_t loaded = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::optional<std::pair<Fingerprint, CachedVerdict>> entry = cached_from_json(line);
-    if (!entry) {
-      obs::count("svc.cache.load_skipped");
-      continue;
-    }
-    insert(entry->first, std::move(entry->second));
-    ++loaded;
-  }
-  return loaded;
-}
-
-std::size_t VerdictCache::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  return load(in);
 }
 
 }  // namespace verdict::svc

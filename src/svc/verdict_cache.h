@@ -1,24 +1,22 @@
-// Content-addressed verdict cache: sharded in-memory LRU + optional NDJSON
-// persistence.
+// Content-addressed verdict cache: the sharded in-memory LRU, and the
+// "verdict-cache-v2" line every stored verdict is written as.
 //
 // The paper's deployment model (§4.3) re-verifies near-identical models on
 // every config push, so the same (system, property, engine options) request
 // arrives over and over. The cache memoizes verdicts under the canonical
-// fingerprint (svc/fingerprint.h):
-//
-//   * sharded LRU — capacity-bounded, one mutex per shard so concurrent
-//     daemon requests don't serialize on one lock.
-//   * persistence — save()/load() stream entries as NDJSON (one JSON object
-//     per line, "verdict-cache-v2") so verdicts survive a daemon restart.
-//     Counterexample traces are stored name-keyed (svc/stored_trace.h) and
-//     rehydrated lazily at lookup-conversion time, so a cache file loads
-//     before any model has been parsed.
+// fingerprint (svc/fingerprint.h) in a capacity-bounded LRU, sharded with
+// one mutex per shard so concurrent daemon requests don't serialize on one
+// lock. Persistence is the segment's job (svc/segment.h): its records carry
+// one verdict-cache-v2 line each. Counterexample traces are stored
+// name-keyed (svc/stored_trace.h) and rehydrated lazily at
+// lookup-conversion time, so a segment replays before any model has been
+// parsed.
 //
 // Cacheability rule (the safety property of the whole subsystem): only
 // *definitive* verdicts are stored — kHolds, and kViolated with its trace.
 // kBoundReached / kTimeout / kUnknown depend on the budget a particular run
 // happened to have and MUST be recomputed; insert() silently drops them, and
-// load() refuses lines carrying them no matter who wrote the file.
+// cached_from_json() refuses lines carrying them no matter who wrote them.
 //
 // Identical requests in flight at once are deduplicated one layer up, per
 // service batch (svc/service.h), not here.
@@ -27,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,7 +57,7 @@ struct CachedVerdict {
   std::string counterexample_json;
 
   // Incremental re-verification enrichment (inc::ReuseEngine; all optional —
-  // zero/empty means "plain entry", exactly what v1 cache files carry).
+  // zero/empty means "plain entry").
   /// Fingerprint of (property, engine, max_depth) alone — the part of the
   /// request key that survives a model edit. Links entries for the same
   /// property across model versions.
@@ -84,18 +81,16 @@ struct CachedVerdict {
 [[nodiscard]] std::optional<core::CheckOutcome> outcome_from_cached(
     const CachedVerdict& v);
 
-/// One "verdict-cache-v2" JSON object (no trailing newline). This line format
-/// is the single interchange encoding for every store tier: the NDJSON cache
-/// file, the mmap'd segment payloads (svc/segment.h), and the PEER_GET /
-/// PEER_PUT entry bodies (svc/peer.h) all carry exactly this object.
+/// One "verdict-cache-v2" JSON object (no trailing newline): the payload of
+/// every mmap'd segment record (svc/segment.h).
 [[nodiscard]] std::string cached_to_json(const Fingerprint& key,
                                          const CachedVerdict& v);
 
-/// Parses one v2 (or legacy v1) line back into (key, verdict). Returns
-/// nullopt for malformed lines (an integer field out of its type's range
-/// included) AND for non-cacheable verdicts — the
-/// cacheability rule is enforced here so no deserialization path (file load,
-/// segment scan, peer response) can plant an indefinite verdict.
+/// Parses one v2 line back into (key, verdict). Returns nullopt for
+/// malformed lines (an integer field out of its type's range included), for
+/// any other schema, AND for non-cacheable verdicts — the cacheability rule
+/// is enforced here so a corrupted or tampered segment cannot plant an
+/// indefinite verdict.
 [[nodiscard]] std::optional<std::pair<Fingerprint, CachedVerdict>>
 cached_from_json(const std::string& line);
 
@@ -124,22 +119,8 @@ class VerdictCache {
 
   /// Calls `fn` for a snapshot of every entry (copied out shard by shard, so
   /// `fn` may call back into the cache). Used by inc::ReuseEngine to rebuild
-  /// its cross-version index after a cache file load.
+  /// its cross-version index after the segment warmed the cache.
   void for_each(const std::function<void(const Fingerprint&, const CachedVerdict&)>& fn) const;
-
-  /// Writes every entry as one "verdict-cache-v2" NDJSON line.
-  void save(std::ostream& out) const;
-  /// Atomic on-disk snapshot: writes `path + ".tmp"` then rename()s it over
-  /// `path`, so a daemon killed mid-save leaves either the old file or the
-  /// new one — never a truncated half-file another shard then loads.
-  void save_file(const std::string& path) const;  // throws on open failure
-
-  /// Loads entries from an NDJSON stream produced by save() (or anything
-  /// schema-conformant; "verdict-cache-v1" lines still load, minus the
-  /// incremental enrichment fields v1 lacked). Malformed and non-cacheable
-  /// lines are skipped, not fatal. Returns the number of entries inserted.
-  std::size_t load(std::istream& in);
-  std::size_t load_file(const std::string& path);  // missing file = 0 loaded
 
  private:
   struct Shard;

@@ -9,7 +9,11 @@
 // to run on.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "core/checker.h"
 #include "core/session.h"
@@ -20,6 +24,7 @@
 #include "obs/trace.h"
 #include "scenarios/rollout_partition.h"
 #include "svc/fingerprint.h"
+#include "svc/segment.h"
 #include "svc/service.h"
 #include "svc/verdict_cache.h"
 
@@ -360,29 +365,44 @@ TEST(ReuseEngine, ReplaysCounterexamplesOnTheNewFullSystem) {
       hook.lookup(v3.sys, p, core::Engine::kBmc, 30, util::Deadline::never()).has_value());
 }
 
+// A scratch directory holding one segment file, removed with the fixture.
+struct SegmentDir {
+  SegmentDir() {
+    char dir[] = "/tmp/inc_test.XXXXXX";
+    if (::mkdtemp(dir) == nullptr) throw std::runtime_error("mkdtemp failed");
+    path = dir;
+  }
+  ~SegmentDir() {
+    ::unlink(segment().c_str());
+    ::rmdir(path.c_str());
+  }
+  [[nodiscard]] std::string segment() const { return path + "/verdicts.seg"; }
+  std::string path;
+};
+
 TEST(ReuseEngine, RestartRevalidatesInsteadOfTrustingDisk) {
-  std::stringstream file;
+  const SegmentDir dir;
   const TwoCounters tc = make_two_counters("re_e", 5, 0);
   const ltl::Formula p = holds_property(tc, 5);
   {
     svc::VerdictCache cache;
+    svc::SegmentStore segment(dir.segment());
     inc::ReuseEngine engine(cache);
-    svc::SessionCache hook(cache, &engine);
+    svc::SessionCache hook(cache, &engine, &segment);
     const core::CheckOutcome cold = run(tc, p, core::Engine::kPdr);
     ASSERT_EQ(cold.verdict, core::Verdict::kHolds);
     hook.store(tc.sys, p, core::Engine::kPdr, 30, cold);
-    cache.save(file);
   }
 
-  // "Restarted daemon": fresh cache + engine over the persisted file. The
-  // cache entry for the IDENTICAL system is an exact hit (no revalidation
-  // involved); for an edited system — even one whose cone is unchanged —
-  // the artifact came from disk and must be re-proved before it is carried.
-  svc::VerdictCache cache;
-  ASSERT_GT(cache.load(file), 0u);
-  inc::ReuseEngine engine(cache);
+  // "Restarted daemon": a fresh service warms its cache from the reopened
+  // segment, and a fresh engine indexes it. The entry for the IDENTICAL
+  // system is an exact hit (no revalidation involved); for an edited system
+  // — even one whose cone is unchanged — the artifact came from disk and
+  // must be re-proved before it is carried.
+  svc::Service service({.jobs = 1, .segment_file = dir.segment()});
+  inc::ReuseEngine engine(service.cache());
   ASSERT_GT(engine.rebuild_from_cache(), 0u);
-  svc::SessionCache hook(cache, &engine);
+  svc::SessionCache hook(service.cache(), &engine, service.segment());
 
   const TwoCounters v2 = make_two_counters("re_e", 5, 1);  // out-of-cone edit
   const std::uint64_t revalidated_before = counter("inc.invariants_revalidated");
@@ -391,6 +411,46 @@ TEST(ReuseEngine, RestartRevalidatesInsteadOfTrustingDisk) {
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(warm->verdict, core::Verdict::kHolds);
   EXPECT_EQ(counter("inc.invariants_revalidated"), revalidated_before + 1);
+}
+
+// A verdict the incremental layer carries over is stored like a computed
+// one: written through to the segment under the edited model's fingerprint.
+// So a service restarted on the same segment answers the edited model as an
+// exact hit, without revalidating or carrying anything again.
+TEST(ReuseEngine, CarriedVerdictSurvivesARestart) {
+  const SegmentDir dir;
+  const TwoCounters v1 = make_two_counters("re_f", 5, 0);
+  const TwoCounters v2 = make_two_counters("re_f", 5, 1);  // out-of-cone edit
+  svc::CheckRequest request;
+  request.property = holds_property(v1, 5);
+  request.engine = core::Engine::kPdr;
+  request.max_depth = 30;
+  {
+    svc::Service service({.jobs = 1, .segment_file = dir.segment()});
+    inc::ReuseEngine engine(service.cache());
+    service.set_reuse(&engine);
+    request.system = &v1.sys;
+    const svc::CheckResponse cold = service.check(request);
+    ASSERT_EQ(cold.outcome.verdict, core::Verdict::kHolds);
+    ASSERT_FALSE(cold.cache_hit);
+    request.system = &v2.sys;
+    const svc::CheckResponse edited = service.check(request);
+    ASSERT_EQ(edited.outcome.verdict, core::Verdict::kHolds);
+    ASSERT_TRUE(edited.cache_hit) << "the edited model must be answered by reuse";
+  }
+
+  svc::Service service({.jobs = 1, .segment_file = dir.segment()});
+  inc::ReuseEngine engine(service.cache());
+  (void)engine.rebuild_from_cache();
+  service.set_reuse(&engine);
+  const std::uint64_t revalidated_before = counter("inc.invariants_revalidated");
+  const std::uint64_t reused_before = counter("inc.properties_reused");
+  request.system = &v2.sys;
+  const svc::CheckResponse warm = service.check(request);
+  EXPECT_EQ(warm.outcome.verdict, core::Verdict::kHolds);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(counter("inc.invariants_revalidated"), revalidated_before);
+  EXPECT_EQ(counter("inc.properties_reused"), reused_before);
 }
 
 // --- Crosscheck: artifacts against the original pre-optimization system ------

@@ -1,9 +1,9 @@
 // The verification-as-a-service subsystem end to end: canonical
-// fingerprints, the verdict cache (LRU + cacheability rule + persistence),
-// the Service scheduler and its batches, the Session cache hook, and a real
-// in-process Daemon serving concurrent socket clients. The daemon test is
-// the suite's TSan workout — it exercises connection threads, the worker
-// pool, and the sharded cache simultaneously.
+// fingerprints, the verdict store (LRU + cacheability rule + the persistent
+// segment), the Service scheduler and its batches, the Session cache hook,
+// and a real in-process Daemon serving concurrent socket clients. The daemon
+// test is the suite's TSan workout — it exercises connection threads, the
+// worker pool, and the sharded LRU simultaneously.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,10 +16,8 @@
 #include <cstring>
 #include <fstream>
 #include <future>
-#include <map>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,9 +33,7 @@
 #include "svc/daemon.h"
 #include "svc/fingerprint.h"
 #include "svc/frame.h"
-#include "svc/peer.h"
 #include "svc/protocol.h"
-#include "svc/ring.h"
 #include "svc/segment.h"
 #include "svc/service.h"
 #include "svc/stored_trace.h"
@@ -200,58 +196,7 @@ TEST(VerdictCache, LookupRefreshesLruPosition) {
   EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
 }
 
-// --- Persistence across "restarts" -------------------------------------------
-
-TEST(VerdictCache, PersistedCounterexampleRoundTrips) {
-  // Real violated outcome with a trace, through save -> fresh cache -> load,
-  // then rehydrated and re-confirmed against the system. The same flow runs
-  // across a genuine process restart in tests/verdictd_cli_test.sh.
-  scenarios::RolloutPartitionScenario scenario = scenarios::make_test_scenario();
-  const core::CheckOutcome outcome =
-      core::check(scenario.system, scenario.property,
-                  {.engine = core::Engine::kBmc, .max_depth = 6});
-  ASSERT_TRUE(outcome.violated());
-  ASSERT_TRUE(outcome.counterexample.has_value());
-
-  const Fingerprint key = svc::fingerprint_request(
-      scenario.system, scenario.property, core::Engine::kBmc, 6);
-  svc::VerdictCache cache;
-  cache.insert(key, svc::cached_from_outcome(outcome));
-
-  std::stringstream disk;
-  cache.save(disk);
-
-  svc::VerdictCache restarted;
-  EXPECT_EQ(restarted.load(disk), 1u);
-  const auto cached = restarted.lookup(key);
-  ASSERT_TRUE(cached.has_value());
-  const auto rehydrated = svc::outcome_from_cached(*cached);
-  ASSERT_TRUE(rehydrated.has_value());
-  EXPECT_EQ(rehydrated->verdict, core::Verdict::kViolated);
-  ASSERT_TRUE(rehydrated->counterexample.has_value());
-  std::string why;
-  EXPECT_TRUE(core::confirm_counterexample(scenario.system, scenario.property,
-                                           *rehydrated, &why))
-      << why;
-}
-
-TEST(VerdictCache, LoadSkipsMalformedAndNonDefinitiveLines) {
-  svc::VerdictCache cache;
-  std::stringstream disk;
-  svc::VerdictCache source;
-  source.insert(key_of(1), holds_verdict());
-  source.save(disk);
-  disk << "this is not json\n";
-  disk << R"({"schema":"verdict-cache-v1","key":"00000000000000000000000000000001",)"
-       << R"("verdict":"timeout","engine":"bmc"})" << "\n";
-  disk << R"({"schema":"some-other-schema","key":"00000000000000000000000000000002",)"
-       << R"("verdict":"holds","engine":"bmc"})" << "\n";
-  EXPECT_EQ(cache.load(disk), 1u);  // only the genuine holds line
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-// A cache file, a segment payload and a peer response all reach these
-// decoders. An integer field outside its type (negative, past the cast's
+// A segment record reaches these decoders. An integer field outside its type (negative, past the cast's
 // range, or not whole) rejects the entry rather than reach an undefined
 // conversion. The JSON reader itself rejects non-finite numbers.
 TEST(VerdictCache, DecodersRejectOutOfRangeIntegers) {
@@ -652,7 +597,7 @@ TEST(Daemon, RejectsBadRequestsWithoutDying) {
 TEST(Frame, RoundTripsEveryType) {
   for (const svc::FrameType type :
        {svc::FrameType::kRequest, svc::FrameType::kVerdict, svc::FrameType::kDone,
-        svc::FrameType::kError, svc::FrameType::kPeerGet, svc::FrameType::kPeerPut}) {
+        svc::FrameType::kError}) {
     const std::string payload = R"({"id":"1","k":"v"})";
     const std::string wire = svc::encode_frame(type, payload);
     EXPECT_EQ(wire.size(), svc::kFrameHeaderBytes + payload.size());
@@ -755,26 +700,43 @@ TEST(Frame, StaysPoisonedAfterAnError) {
 
 // --- Adversarial input: frames and request payloads --------------------------
 
+// A frame whose header carries a raw type byte, known to the decoder or not.
+std::string frame_with_type(std::uint8_t type, std::string_view payload) {
+  std::string wire = svc::encode_frame(svc::FrameType::kRequest, payload);
+  wire[3] = static_cast<char>(type);
+  return wire;
+}
+
 // Seeded, deterministic mutation loop over the daemon's two parsers of
 // untrusted bytes: FrameDecoder, then parse_request on every request frame
-// that comes out. Each input is a well-formed frame (or two) mutated by bit
-// flips, truncation, length-field edits, oversize declarations and byte
-// splices, fed in random chunks. Every next() must end in a frame, a wait for
-// more bytes, or an error (and stay in error once there); parse_request must
-// return a request or a reason, never throw.
+// that comes out. Each input is a well-formed frame (or two), or a frame of a
+// rejected type, mutated by bit flips, truncation, length-field edits,
+// oversize declarations and byte splices, fed in random chunks. Every next()
+// must end in a frame of a known type, a wait for more bytes, or an error
+// (and stay in error once there); parse_request must return a request or a
+// reason, never throw.
 TEST(FrameFuzz, MutatedFramesEndInAFrameOrAnError) {
   constexpr std::size_t kMaxPayload = 4096;
   constexpr int kInputsPerSeed = 100000;
-  const std::vector<std::string> corpus = {
+  // Types 5 and 6 were the retired shard-to-shard cache exchange: a daemon
+  // must refuse them like any other type it does not speak.
+  const std::vector<std::uint8_t> rejected_types = {0, 5, 6, 0x7f};
+  std::vector<std::string> corpus = {
       svc::encode_frame(svc::FrameType::kRequest,
                         R"({"id":"1","model":"module m { var x : 0..3; init x = 0; }",)"
                         R"("props":["safe","live"],"engine":"kinduction","depth":30,)"
                         R"("timeout":5.5,"optimize":false,"abstract":true})"),
       svc::encode_frame(svc::FrameType::kRequest, R"({"id":7,"model":"m","props":[]})"),
-      svc::encode_frame(svc::FrameType::kPeerGet,
-                        R"({"key":"0123456789abcdef0123456789abcdef"})"),
       svc::encode_frame(svc::FrameType::kDone, R"({"type":"done","id":"1"})"),
   };
+  for (const std::uint8_t type : rejected_types) {
+    const std::string wire =
+        frame_with_type(type, R"({"schema":"verdict-cache-v2","verdict":"holds"})");
+    svc::FrameDecoder decoder(kMaxPayload);
+    decoder.feed(wire);
+    ASSERT_EQ(decoder.next().status, svc::FrameDecoder::Status::kError) << int{type};
+    corpus.push_back(wire);
+  }
   for (const std::uint64_t seed : {1u, 2u}) {
     std::mt19937_64 rng(seed);
     const auto below = [&](std::size_t n) {
@@ -832,6 +794,8 @@ TEST(FrameFuzz, MutatedFramesEndInAFrameOrAnError) {
           }
           ASSERT_FALSE(poisoned) << "decoder left its error state";
           ASSERT_LE(result.frame.payload.size(), kMaxPayload);
+          for (const std::uint8_t type : rejected_types)
+            ASSERT_NE(static_cast<std::uint8_t>(result.frame.type), type);
           ++frames;
           if (result.frame.type != svc::FrameType::kRequest) continue;
           ++requests;
@@ -903,8 +867,8 @@ std::string mutate_line(std::string line, Rng& rng) {
 }
 
 // Well-formed cache lines: a plain holds, an enriched holds (incremental
-// fields and an artifact), a violation with a trace over declared variables,
-// and a legacy v1 line.
+// fields and an artifact), and a violation with a trace over declared
+// variables.
 std::vector<std::string> store_line_corpus() {
   const ts::TransitionSystem sys = counter_system("store_fuzz");
   const core::CheckOutcome violated =
@@ -922,8 +886,6 @@ std::vector<std::string> store_line_corpus() {
       svc::cached_to_json(key_of(1), holds_verdict()),
       svc::cached_to_json(key_of(2), enriched),
       svc::cached_to_json(key_of(3), svc::cached_from_outcome(violated)),
-      R"({"schema":"verdict-cache-v1","key":"00000000000000000000000000000004",)"
-      R"("verdict":"holds","engine":"bmc","seconds":0.5,"solver_checks":4,"depth":2})",
   };
 }
 
@@ -1369,8 +1331,9 @@ TEST(ServiceBatch, DuplicatePropertiesInOneBatchReportIndividualCacheHits) {
 
 // --- Daemon framing errors and message bounds --------------------------------
 
-// Connects to `sock`, writes `bytes`, and reads until the daemon closes the
-// connection. Returns everything the daemon sent.
+// Connects to `sock`, writes `bytes`, half-closes, and reads until the
+// daemon closes the connection (the half-close ends the exchange when the
+// daemon sends nothing). Returns everything the daemon sent.
 std::string raw_exchange(const std::string& sock, const std::string& bytes) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -1385,6 +1348,7 @@ std::string raw_exchange(const std::string& sock, const std::string& bytes) {
     ::close(fd);
     throw std::runtime_error("short send");
   }
+  ::shutdown(fd, SHUT_WR);
   std::string received;
   char chunk[4096];
   for (;;) {
@@ -1503,6 +1467,66 @@ TEST(Daemon, RejectsOversizedFrames) {
   ::rmdir(sock_dir);
 }
 
+// A frame of type 6 once wrote a bare `holds` into the daemon's store on any
+// connection. A forged one, carrying `holds` for a violated property under
+// its request fingerprint, must now be refused at the decoder, and the
+// property must still come back violated with a trace that replays — and the
+// segment must hold that violation, not the forgery.
+TEST(Daemon, RejectsForgedStoreWriteAndStillServesTheViolation) {
+  const mdl::VmlModel model = mdl::parse_vml(kDaemonModel);
+  char dir[] = "/tmp/svc_test.XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  const std::string sock = std::string(dir) + "/d.sock";
+  const std::string seg = std::string(dir) + "/d.seg";
+
+  svc::DaemonOptions options;
+  options.socket_path = sock;
+  options.service.jobs = 2;
+  options.service.segment_file = seg;
+  svc::Daemon daemon(options);
+  std::thread server([&] { daemon.serve(); });
+
+  const ltl::Formula& never_two = model.ltl_properties.at("never_two");
+  const Fingerprint key =
+      svc::fingerprint_request(model.system, never_two, core::Engine::kKInduction, 10);
+  const std::uint64_t rejected_before = obs::counter("svc.frames_rejected").load();
+  const std::string reply =
+      raw_exchange(sock, frame_with_type(6, svc::cached_to_json(key, holds_verdict())));
+  const std::uint64_t rejected_after = obs::counter("svc.frames_rejected").load();
+  std::vector<svc::ClientVerdict> verdicts;
+  try {
+    svc::Client client(sock);
+    verdicts = client.check(kDaemonModel, {"never_two"}, core::Engine::kKInduction, 10, 0.0);
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << error.what();
+  }
+  daemon.request_stop();
+  server.join();
+
+  EXPECT_EQ(rejected_after, rejected_before + 1);
+  svc::FrameDecoder decoder;
+  decoder.feed(reply);
+  const svc::FrameDecoder::Result error = decoder.next();
+  EXPECT_EQ(error.status, svc::FrameDecoder::Status::kFrame);
+  EXPECT_EQ(error.frame.type, svc::FrameType::kError);
+  EXPECT_NE(error.frame.payload.find("unknown frame type 6"), std::string::npos)
+      << error.frame.payload;
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].outcome.verdict, core::Verdict::kViolated);
+  std::string why;
+  EXPECT_TRUE(core::confirm_counterexample(model.system, never_two, verdicts[0].outcome, &why))
+      << why;
+
+  {
+    svc::SegmentStore segment(seg);
+    const std::optional<svc::CachedVerdict> stored = segment.lookup(key);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(stored->verdict, core::Verdict::kViolated);
+  }
+  ::unlink(seg.c_str());
+  ::rmdir(dir);
+}
+
 TEST(Client, RetriesConnectWhileTheDaemonIsStarting) {
   char sock_dir[] = "/tmp/svc_test.XXXXXX";
   ASSERT_NE(::mkdtemp(sock_dir), nullptr);
@@ -1559,83 +1583,6 @@ TEST(StoredTrace, UnknownVariablesFailSoft) {
                    R"("states":[{"no.such.var.anywhere":1}]})")
                    .has_value());
   EXPECT_FALSE(svc::trace_from_json("not json at all").has_value());
-}
-
-// --- Consistent-hash ring ----------------------------------------------------
-
-// Deterministic key stream (no std::random — the suite must be replayable).
-std::vector<Fingerprint> synthetic_keys(std::size_t n) {
-  std::vector<Fingerprint> keys;
-  keys.reserve(n);
-  std::uint64_t s = 0x9e3779b97f4a7c15ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t hi = s;
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    keys.push_back(Fingerprint{hi, s});
-  }
-  return keys;
-}
-
-TEST(Ring, DeterministicAcrossSpecOrder) {
-  const svc::Ring a = svc::Ring::from_spec("/run/s1.sock,/run/s2.sock,/run/s3.sock");
-  const svc::Ring b = svc::Ring::from_spec("/run/s3.sock,/run/s1.sock,/run/s2.sock");
-  ASSERT_EQ(a.nodes(), b.nodes());  // canonical (sorted) member order
-  for (const Fingerprint& key : synthetic_keys(512))
-    EXPECT_EQ(a.owner_id(key), b.owner_id(key));
-}
-
-TEST(Ring, RejectsEmptyAndDuplicateSpecs) {
-  EXPECT_THROW((void)svc::Ring::from_spec(""), std::invalid_argument);
-  EXPECT_THROW((void)svc::Ring::from_spec("a,,b"), std::invalid_argument);
-  EXPECT_THROW((void)svc::Ring::from_spec("a,b,a"), std::invalid_argument);
-  EXPECT_NO_THROW((void)svc::Ring::from_spec("solo"));
-}
-
-TEST(Ring, SpreadIsRoughlyBalanced) {
-  // kVirtualNodesPerNode points per node must keep every shard within a
-  // loose band of the fair share (the header claims ~1.3 max/min; assert 2x
-  // so the test pins the mechanism, not the constant).
-  const svc::Ring ring = svc::Ring::from_spec("sh-a,sh-b,sh-c,sh-d");
-  const std::vector<Fingerprint> keys = synthetic_keys(4096);
-  std::vector<std::size_t> load(ring.size(), 0);
-  for (const Fingerprint& key : keys) ++load[ring.owner(key)];
-  const std::size_t fair = keys.size() / ring.size();
-  for (std::size_t s = 0; s < load.size(); ++s) {
-    EXPECT_GT(load[s], fair / 2) << "shard " << s << " starved";
-    EXPECT_LT(load[s], fair * 2) << "shard " << s << " overloaded";
-  }
-}
-
-TEST(Ring, JoinMovesOnlyKeysToTheNewNode) {
-  const svc::Ring before = svc::Ring::from_spec("n1,n2,n3");
-  const svc::Ring after = svc::Ring::from_spec("n1,n2,n3,n4");
-  const std::vector<Fingerprint> keys = synthetic_keys(4096);
-  std::size_t moved = 0;
-  for (const Fingerprint& key : keys) {
-    const std::string& was = before.owner_id(key);
-    const std::string& now = after.owner_id(key);
-    if (was != now) {
-      // The ONLY legal move is onto the joining node — consistent hashing's
-      // defining property. Any other reshuffle would dump every shard's
-      // warm set on a topology change.
-      EXPECT_EQ(now, "n4");
-      ++moved;
-    }
-  }
-  // Expected share is 1/4 of the keyspace; accept a loose band around it.
-  EXPECT_GT(moved, keys.size() / 8);
-  EXPECT_LT(moved, keys.size() / 2);
-}
-
-TEST(Ring, LeaveMovesOnlyOrphanedKeys) {
-  const svc::Ring before = svc::Ring::from_spec("n1,n2,n3,n4");
-  const svc::Ring after = svc::Ring::from_spec("n1,n2,n3");
-  for (const Fingerprint& key : synthetic_keys(4096)) {
-    // Keys the departed node did not own must not move at all.
-    if (before.owner_id(key) != "n4")
-      EXPECT_EQ(before.owner_id(key), after.owner_id(key));
-  }
 }
 
 // --- Persistent segment ------------------------------------------------------
@@ -1748,164 +1695,73 @@ TEST(Segment, RejectsForeignFile) {
   ::rmdir(dir);
 }
 
-// --- Atomic snapshot save ----------------------------------------------------
+TEST(Segment, PersistedCounterexampleRoundTrips) {
+  // Real violated outcome with a trace, through append -> reopen -> lookup,
+  // then rehydrated and re-confirmed against the system. The same flow runs
+  // across a genuine process restart in tests/verdictd_cli_test.sh.
+  scenarios::RolloutPartitionScenario scenario = scenarios::make_test_scenario();
+  const core::CheckOutcome outcome =
+      core::check(scenario.system, scenario.property,
+                  {.engine = core::Engine::kBmc, .max_depth = 6});
+  ASSERT_TRUE(outcome.violated());
+  ASSERT_TRUE(outcome.counterexample.has_value());
 
-TEST(VerdictCache, SaveFileReplacesAtomically) {
+  const Fingerprint key = svc::fingerprint_request(
+      scenario.system, scenario.property, core::Engine::kBmc, 6);
   char dir[] = "/tmp/svc_test.XXXXXX";
   ASSERT_NE(::mkdtemp(dir), nullptr);
-  const std::string path = std::string(dir) + "/cache.ndjson";
-
-  svc::VerdictCache first;
-  first.insert(key_of(1), holds_verdict(1.0));
-  first.save_file(path);
-  svc::VerdictCache second;
-  second.insert(key_of(2), holds_verdict(2.0));
-  second.insert(key_of(3), holds_verdict(3.0));
-  second.save_file(path);  // full replace of the previous snapshot
-
-  // No temp file may linger — the write lands via rename, so a crash mid-save
-  // leaves the old snapshot untouched rather than a half-written new one.
-  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
-  svc::VerdictCache reloaded;
-  EXPECT_EQ(reloaded.load_file(path), 2u);
-  EXPECT_FALSE(reloaded.lookup(key_of(1)).has_value());
-  EXPECT_TRUE(reloaded.lookup(key_of(2)).has_value());
-  EXPECT_TRUE(reloaded.lookup(key_of(3)).has_value());
-
+  const std::string path = std::string(dir) + "/verdicts.seg";
+  {
+    svc::SegmentStore segment(path);
+    ASSERT_TRUE(segment.append(key, svc::cached_from_outcome(outcome)));
+  }
+  svc::SegmentStore restarted(path);
+  const auto cached = restarted.lookup(key);
+  ASSERT_TRUE(cached.has_value());
+  const auto rehydrated = svc::outcome_from_cached(*cached);
+  ASSERT_TRUE(rehydrated.has_value());
+  EXPECT_EQ(rehydrated->verdict, core::Verdict::kViolated);
+  ASSERT_TRUE(rehydrated->counterexample.has_value());
+  std::string why;
+  EXPECT_TRUE(core::confirm_counterexample(scenario.system, scenario.property,
+                                           *rehydrated, &why))
+      << why;
   ::unlink(path.c_str());
   ::rmdir(dir);
 }
 
-// --- Two-shard cluster (in-process) ------------------------------------------
-
-// Fixture facts: both daemons share this process's global counters, so the
-// assertions read obs::counters_snapshot() deltas instead of flags the wire
-// protocol does not carry.
-std::uint64_t counter_or_zero(const std::map<std::string, std::uint64_t>& counters,
-                              const std::string& name) {
-  const auto it = counters.find(name);
-  return it == counters.end() ? 0u : it->second;
-}
-
-TEST(Cluster, PeerFetchServesAcrossShards) {
-  const mdl::VmlModel model = mdl::parse_vml(kDaemonModel);
+TEST(Segment, SkipsMalformedAndNonDefinitiveRecords) {
+  // Records that pass the checksum but whose payload is not a definitive
+  // verdict-cache-v2 entry: never served, and the records around them are.
   char dir[] = "/tmp/svc_test.XXXXXX";
   ASSERT_NE(::mkdtemp(dir), nullptr);
-  const std::string sock_a = std::string(dir) + "/a.sock";
-  const std::string sock_b = std::string(dir) + "/b.sock";
-  const std::string spec = sock_a + "," + sock_b;
-
-  auto make_daemon = [&](const std::string& sock) {
-    svc::DaemonOptions options;
-    options.socket_path = sock;
-    options.service.jobs = 2;
-    options.service.batch_window_seconds = 0.0;
-    options.service.cluster = spec;
-    options.service.self_id = sock;
-    return std::make_unique<svc::Daemon>(options);
+  const std::string path = std::string(dir) + "/verdicts.seg";
+  const std::string holds = svc::cached_to_json(key_of(1), holds_verdict());
+  const auto with_schema = [&](const std::string& schema) {
+    std::string line = holds;
+    line.replace(line.find("verdict-cache-v2"), 16, schema);
+    return line;
   };
-  auto daemon_a = make_daemon(sock_a);
-  auto daemon_b = make_daemon(sock_b);
-  std::thread serve_a([&] { daemon_a->serve(); });
-  std::thread serve_b([&] { daemon_b->serve(); });
-
-  // Pick the shard that OWNS bound_ok's fingerprint for the cold compute, so
-  // the second shard's warm request must cross the peer tier (PEER_GET).
-  const svc::Ring ring = svc::Ring::from_nodes({sock_a, sock_b});
-  const Fingerprint fp = svc::fingerprint_request(
-      model.system, model.ltl_properties.at("bound_ok"),
-      core::Engine::kKInduction, 10);
-  const std::string owner_sock = ring.owner_id(fp);
-  const std::string other_sock = owner_sock == sock_a ? sock_b : sock_a;
-
-  const std::map<std::string, std::uint64_t> before = obs::counters_snapshot();
-  core::Verdict cold, warm;
+  std::string timeout = holds;
+  timeout.replace(timeout.find("\"holds\""), 7, "\"timeout\"");
   {
-    svc::Client client(owner_sock);
-    const auto verdicts =
-        client.check(kDaemonModel, {"bound_ok"}, core::Engine::kKInduction, 10, 0.0);
-    ASSERT_EQ(verdicts.size(), 1u);
-    cold = verdicts[0].outcome.verdict;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << segment_bytes({{key_of(1), holds},
+                          {key_of(2), "this is not json"},
+                          {key_of(3), timeout},
+                          {key_of(4), with_schema("some-other-schema")},
+                          {key_of(5), with_schema("verdict-cache-v1")},
+                          {key_of(6), svc::cached_to_json(key_of(6), holds_verdict())}});
   }
-  {
-    svc::Client client(other_sock);
-    const auto verdicts =
-        client.check(kDaemonModel, {"bound_ok"}, core::Engine::kKInduction, 10, 0.0);
-    ASSERT_EQ(verdicts.size(), 1u);
-    warm = verdicts[0].outcome.verdict;
-  }
-  const std::map<std::string, std::uint64_t> after = obs::counters_snapshot();
-
-  EXPECT_EQ(cold, core::Verdict::kHolds);
-  EXPECT_EQ(warm, cold);
-  // The non-owner went to the ring, asked the owner, and got a hit; the
-  // owner served it from its local tiers.
-  EXPECT_GE(counter_or_zero(after, "svc.ring.remote") -
-                counter_or_zero(before, "svc.ring.remote"), 1u);
-  EXPECT_GE(counter_or_zero(after, "svc.peer.get") -
-                counter_or_zero(before, "svc.peer.get"), 1u);
-  EXPECT_GE(counter_or_zero(after, "svc.peer.hit") -
-                counter_or_zero(before, "svc.peer.hit"), 1u);
-  EXPECT_GE(counter_or_zero(after, "svc.peer.serve_get") -
-                counter_or_zero(before, "svc.peer.serve_get"), 1u);
-
-  daemon_a->request_stop();
-  daemon_b->request_stop();
-  serve_a.join();
-  serve_b.join();
-  ::unlink(sock_a.c_str());
-  ::unlink(sock_b.c_str());
-  ::rmdir(dir);
-}
-
-TEST(Cluster, PeerUnreachableDegradesToLocalCompute) {
-  const mdl::VmlModel model = mdl::parse_vml(kDaemonModel);
-  char dir[] = "/tmp/svc_test.XXXXXX";
-  ASSERT_NE(::mkdtemp(dir), nullptr);
-  const std::string sock_a = std::string(dir) + "/a.sock";
-  const std::string sock_b = std::string(dir) + "/b.sock";  // never started
-  const std::string spec = sock_a + "," + sock_b;
-
-  // Find a depth whose request fingerprint the DEAD shard owns, so the live
-  // shard must attempt (and survive) a peer fetch.
-  const svc::Ring ring = svc::Ring::from_nodes({sock_a, sock_b});
-  int depth = 0;
-  for (int d = 10; d < 64; ++d) {
-    const Fingerprint fp = svc::fingerprint_request(
-        model.system, model.ltl_properties.at("bound_ok"),
-        core::Engine::kKInduction, d);
-    if (ring.owner_id(fp) == sock_b) {
-      depth = d;
-      break;
-    }
-  }
-  ASSERT_NE(depth, 0) << "no depth in [10,64) hashes to the dead shard";
-
-  svc::DaemonOptions options;
-  options.socket_path = sock_a;
-  options.service.jobs = 2;
-  options.service.batch_window_seconds = 0.0;
-  options.service.cluster = spec;
-  options.service.self_id = sock_a;
-  svc::Daemon daemon(options);
-  std::thread server([&] { daemon.serve(); });
-
-  const std::map<std::string, std::uint64_t> before = obs::counters_snapshot();
-  {
-    // The dead peer must cost at most a failed dial — never a client error.
-    svc::Client client(sock_a);
-    const auto verdicts = client.check(kDaemonModel, {"bound_ok"},
-                                       core::Engine::kKInduction, depth, 0.0);
-    ASSERT_EQ(verdicts.size(), 1u);
-    EXPECT_EQ(verdicts[0].outcome.verdict, core::Verdict::kHolds);
-  }
-  const std::map<std::string, std::uint64_t> after = obs::counters_snapshot();
-  EXPECT_GE(counter_or_zero(after, "svc.peer.unreachable") -
-                counter_or_zero(before, "svc.peer.unreachable"), 1u);
-
-  daemon.request_stop();
-  server.join();
-  ::unlink(sock_a.c_str());
+  svc::SegmentStore segment(path);
+  std::size_t served = 0;
+  segment.for_each([&](const Fingerprint&, const svc::CachedVerdict&) { ++served; });
+  EXPECT_EQ(served, 2u);
+  EXPECT_TRUE(segment.lookup(key_of(1)).has_value());
+  EXPECT_TRUE(segment.lookup(key_of(6)).has_value());
+  for (std::uint64_t k = 2; k <= 5; ++k)
+    EXPECT_FALSE(segment.lookup(key_of(k)).has_value()) << "key " << k;
+  ::unlink(path.c_str());
   ::rmdir(dir);
 }
 

@@ -142,6 +142,15 @@ if [ -n "$REPORT" ]; then
   printf '{"not json' > "$TMP/bad_json.json"
   run rc /dev/null "$REPORT" --stats "$TMP/bad_json.json" --check
   expect_exit 1 "$rc" "verdict-report --check on malformed JSON"
+  # The svc.* counter set is closed: the retired ring, peer and snapshot
+  # counters are producer bugs now.
+  for counter in svc.ring.local svc.peer.get svc.cache.load_skipped; do
+    sed "s/\"counters\":{/\"counters\":{\"$counter\":1,/" "$TMP/stats.json" \
+      > "$TMP/bad_counter.json"
+    grep -q "\"$counter\":1" "$TMP/bad_counter.json" || fail "test bug: $counter not planted"
+    run rc /dev/null "$REPORT" --stats "$TMP/bad_counter.json" --check
+    expect_exit 1 "$rc" "verdict-report --check on the retired counter $counter"
+  done
 fi
 
 # --no-abs: the symmetry-reduction escape hatch must not change verdicts,

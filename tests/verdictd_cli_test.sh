@@ -2,7 +2,7 @@
 # Drives the verdictd daemon end-to-end through the real binaries: cold
 # verification over the Unix socket, warm (cached) re-verification with the
 # client-visible cache marker, graceful SIGTERM drain, and the persistent
-# cache file carrying proved verdicts across a daemon restart.
+# segment carrying proved verdicts across a restart and across a crash.
 #
 # Usage: verdictd_cli_test.sh <path-to-verdictd> <path-to-verdictc> \
 #                             <examples/models dir>
@@ -13,17 +13,13 @@ VERDICTC="$2"
 MODELS="$3"
 TMP="$(mktemp -d "${TMPDIR:-/tmp}/verdictd_cli.XXXXXX")"
 SOCK="$TMP/verdictd.sock"
-CACHE="$TMP/cache.ndjson"
+SEGMENT="$TMP/verdicts.seg"
 DAEMON_PID=""
-SHARD1_PID=""
-SHARD2_PID=""
 
 cleanup() {
-  for pid in "$DAEMON_PID" "$SHARD1_PID" "$SHARD2_PID"; do
-    if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
-      kill -KILL "$pid" 2>/dev/null || true
-    fi
-  done
+  if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
+    kill -KILL "$DAEMON_PID" 2>/dev/null || true
+  fi
   rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -47,7 +43,7 @@ expect_exit() {
 # --connect-timeout, which retries with backoff while the daemon binds —
 # that's the supported replacement for sleep-and-hope startup loops.
 start_daemon() {
-  "$VERDICTD" --socket "$SOCK" --cache-file "$CACHE" --jobs 2 \
+  "$VERDICTD" --socket "$SOCK" --segment-file "$SEGMENT" --jobs 2 \
     > "$TMP/daemon.txt" 2>&1 &
   DAEMON_PID=$!
 }
@@ -112,19 +108,20 @@ grep -q "violated" "$TMP/viol.txt" || fail "served run must print the violation"
 grep -q "counterexample confirmed" "$TMP/viol.txt" || \
   fail "served counterexample must be confirmed client-side"
 
-# Graceful SIGTERM drain persists the cache file.
+# Graceful SIGTERM drain. The segment already holds every verdict: it was
+# appended when each one was computed.
 stop_daemon
 grep -q "drained" "$TMP/daemon.txt" || fail "daemon must log its graceful drain"
-[ -s "$CACHE" ] || fail "daemon must persist the cache file on SIGTERM"
-grep -q '"schema":"verdict-cache-v2"' "$CACHE" || \
-  fail "cache file must carry the verdict-cache-v2 schema"
-grep -q '"artifact"' "$CACHE" || \
-  fail "cache file must persist proof artifacts alongside proved verdicts"
+[ -s "$SEGMENT" ] || fail "daemon must write its verdicts to the segment"
+grep -aq '"schema":"verdict-cache-v2"' "$SEGMENT" || \
+  fail "segment records must carry the verdict-cache-v2 schema"
+grep -aq '"artifact"' "$SEGMENT" || \
+  fail "segment must persist proof artifacts alongside proved verdicts"
 
-# Restarted daemon serves the proved verdicts from the persisted cache: the
-# FIRST request after restart is already warm, and the incremental layer
-# re-indexes the persisted artifacts (the startup banner proves they made the
-# round trip through the cache file).
+# Restarted daemon serves the proved verdicts from the segment: the FIRST
+# request after restart is already warm, and the incremental layer re-indexes
+# the persisted artifacts (the startup banner proves they made the round trip
+# through the segment).
 start_daemon
 # The socket binds before the banner is flushed — poll briefly.
 banner_seen=""
@@ -142,7 +139,7 @@ rc=0
   --engine pdr > "$TMP/restart.txt" 2>&1 || rc=$?
 expect_exit 0 "$rc" "post-restart served run"
 grep -q "served from verdictd cache" "$TMP/restart.txt" || \
-  fail "restarted daemon must serve proved verdicts from the cache file"
+  fail "restarted daemon must serve proved verdicts from the segment"
 
 # An EDITED model after the restart: the request fingerprint no longer
 # matches any cached entry, so a warm answer can only come from the
@@ -158,108 +155,70 @@ rc=0
 expect_exit 0 "$rc" "edited-model served run"
 grep -q "served from verdictd cache" "$TMP/edited.txt" || \
   fail "edited model must be answered by revalidating the persisted artifact"
+
+# Crash recovery: a verdict computed in this daemon's lifetime, then SIGKILL —
+# no drain runs. A warm first request after the restart on the same segment
+# proves the append made the verdict durable when it was computed.
+rc=0
+"$VERDICTC" "$MODELS/rollout.vml" --connect "$SOCK" --prop quorum_kept \
+  --engine bmc > "$TMP/crash_cold.txt" 2>&1 || rc=$?
+expect_exit 1 "$rc" "cold violation before the crash"
+grep -q "served from verdictd cache" "$TMP/crash_cold.txt" && \
+  fail "a request for a new engine must be computed, not served warm"
+disown "$DAEMON_PID"  # no job-control notice for the kill
+kill -KILL "$DAEMON_PID"
+for _ in $(seq 1 200); do
+  kill -0 "$DAEMON_PID" 2>/dev/null || break
+  sleep 0.05
+done
+DAEMON_PID=""
+start_daemon
+rc=0
+"$VERDICTC" "$MODELS/rollout.vml" --connect "$SOCK" --connect-timeout 10 \
+  --prop quorum_kept --engine bmc --trace > "$TMP/recovered.txt" 2>&1 || rc=$?
+expect_exit 1 "$rc" "post-crash served violation"
+grep -q "served from verdictd cache" "$TMP/recovered.txt" || \
+  fail "a daemon restarted after SIGKILL must replay its segment and serve warm"
+grep -q "counterexample confirmed" "$TMP/recovered.txt" || \
+  fail "a recovered violation must carry a counterexample confirmed client-side"
 stop_daemon
 
-# A version-skewed cache file is rejected wholesale, never blindly trusted:
-# the daemon starts empty (no reuse banner) and the first request recomputes.
-sed 's/verdict-cache-v2/verdict-cache-v9/g' "$CACHE" > "$TMP/skewed.ndjson"
-CACHE="$TMP/skewed.ndjson"
+# A segment whose payloads carry a foreign schema serves nothing warm: every
+# record keeps a valid checksum, so the scan indexes it, but no payload
+# decodes. The daemon starts without a reuse banner and recomputes.
+python3 - "$SEGMENT" "$TMP/skewed.seg" <<'PY'
+import struct, sys
+data = bytearray(open(sys.argv[1], "rb").read())
+pos = 16  # header: magic, version, reserved
+while pos + 32 <= len(data):
+    marker, length = struct.unpack_from("<II", data, pos)
+    if marker == 0:
+        break
+    start = pos + 32
+    payload = bytes(data[start:start + length]).replace(b"verdict-cache-v2", b"verdict-cache-v9")
+    checksum = 0x811C9DC5
+    for byte in payload:
+        checksum = ((checksum ^ byte) * 0x01000193) & 0xFFFFFFFF
+    data[start:start + length] = payload
+    struct.pack_into("<I", data, pos + 24, checksum)
+    pos = start + (length + 7) // 8 * 8
+open(sys.argv[2], "wb").write(data)
+PY
+grep -aq '"schema":"verdict-cache-v9"' "$TMP/skewed.seg" || \
+  fail "test bug: the segment was not rewritten"
+SEGMENT="$TMP/skewed.seg"
 start_daemon
 rc=0
 "$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --connect-timeout 10 \
   --engine pdr > "$TMP/skewed.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "skewed-cache served run"
+expect_exit 0 "$rc" "skewed-segment served run"
 grep -q "served from verdictd cache" "$TMP/skewed.txt" && \
-  fail "verdicts from a version-skewed cache file must not be served warm"
+  fail "verdicts from a segment with a foreign schema must not be served warm"
 # Checked after the request: by now the daemon is fully up, so the banner
 # would have been flushed if the skewed entries had been indexed.
 grep -q "prior verdict(s) for incremental reuse" "$TMP/daemon.txt" && \
-  fail "daemon must not index entries from a version-skewed cache file"
+  fail "daemon must not index entries whose schema it does not speak"
 stop_daemon
-
-# ---------------------------------------------------------------------------
-# Sharded cluster: peer fetch, crash degradation, segment recovery.
-# (docs/sharding.md end to end through the real binaries.)
-# ---------------------------------------------------------------------------
-S1="$TMP/shard1.sock"
-S2="$TMP/shard2.sock"
-CLUSTER="$S1,$S2"
-
-start_shard() { # socket segment-file log-name; prints the pid
-  "$VERDICTD" --socket "$1" --segment-file "$2" --cluster "$CLUSTER" --jobs 2 \
-    > "$TMP/$3.txt" 2>&1 &
-  echo $!
-}
-
-# --shard-of answers the routing question offline — no daemon involved.
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --shard-of "$CLUSTER" --engine pdr \
-  > "$TMP/shardof.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "verdictc --shard-of"
-grep -q -- "-> shard" "$TMP/shardof.txt" || \
-  fail "--shard-of must print a ring assignment per property"
-
-SHARD1_PID="$(start_shard "$S1" "$TMP/shard1.seg" shard1)"
-SHARD2_PID="$(start_shard "$S2" "$TMP/shard2.seg" shard2)"
-
-# Cold verification through shard 1 computes (and appends to its segment).
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S1" --connect-timeout 10 \
-  --engine pdr > "$TMP/shard_cold.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "cold run via shard 1"
-grep -q "served from verdictd cache" "$TMP/shard_cold.txt" && \
-  fail "cold run via shard 1 must not claim cache hits"
-grep -q "of 2 on the cluster ring" "$TMP/shard1.txt" || \
-  fail "a clustered shard must announce its ring position"
-
-# The same request through shard 2: properties shard 1 owns arrive over
-# PEER_GET, properties shard 2 owns arrived via shard 1's PEER_PUT. One
-# priming round absorbs any still-in-flight PUT, then the verdicts must be
-# warm — no recomputation on the second shard.
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S2" --connect-timeout 10 \
-  --engine pdr > "$TMP/shard_prime.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "priming run via shard 2"
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S2" --engine pdr \
-  > "$TMP/shard_warm.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "warm run via shard 2"
-grep -q "served from verdictd cache" "$TMP/shard_warm.txt" || \
-  fail "shard 2 must serve the cluster-warm verdicts without recomputing"
-
-# Kill shard 1 outright (no drain, no snapshot). The cluster degrades, it
-# does not fail: shard 2 keeps serving its warm set, and requests whose ring
-# owner is the dead shard fall back to local compute — never a client error.
-kill -KILL "$SHARD1_PID"
-SHARD1_PID=""
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S2" --engine pdr \
-  > "$TMP/degraded_warm.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "warm run via shard 2 with shard 1 dead"
-grep -q "served from verdictd cache" "$TMP/degraded_warm.txt" || \
-  fail "a dead peer must not disturb shard 2's warm set"
-rc=0
-"$VERDICTC" "$MODELS/rollout.vml" --connect "$S2" --prop quorum_kept --trace \
-  > "$TMP/degraded_cold.txt" 2>&1 || rc=$?
-expect_exit 1 "$rc" "cold violation via shard 2 with shard 1 dead"
-grep -q "counterexample confirmed" "$TMP/degraded_cold.txt" || \
-  fail "degraded-mode verdicts must still carry confirmed counterexamples"
-
-# Restart shard 1 from its segment: SIGKILL means no cache-file snapshot was
-# ever written, so a warm first request proves the mmap'd segment carried the
-# verdicts across the crash.
-SHARD1_PID="$(start_shard "$S1" "$TMP/shard1.seg" shard1_restarted)"
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S1" --connect-timeout 10 \
-  --engine pdr > "$TMP/recovered.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "post-crash run via restarted shard 1"
-grep -q "served from verdictd cache" "$TMP/recovered.txt" || \
-  fail "restarted shard must replay its segment and serve warm"
-
-stop_pid "$SHARD2_PID"
-SHARD2_PID=""
-stop_pid "$SHARD1_PID"
-SHARD1_PID=""
 
 echo "verdictd CLI: all checks passed"
 exit 0

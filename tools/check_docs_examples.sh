@@ -14,13 +14,10 @@
 # CLI no longer accepts), a timeout, or any other code fails the check.
 #
 # Daemon examples: a verdictd command ending in `&` is started in the
-# background; the check waits for its --socket path to appear so the
-# following --connect examples have a live daemon, and tears every daemon
-# down on exit. Daemons are keyed by socket path: a later example reusing a
-# path replaces that daemon only, while examples on other paths keep their
-# daemons running — multi-shard walkthroughs (docs/sharding.md) background a
-# whole cluster. Without a verdictd argument those examples
-# are skipped.
+# background, replacing the daemon an earlier example started; the check
+# waits for its --socket path to appear so the following --connect examples
+# have a live daemon, and tears the daemon down on exit. Without a verdictd
+# argument those examples are skipped.
 #
 # Usage: check_docs_examples.sh <verdictc> <verdict-report> <repo-root> \
 #                               [verdictd]
@@ -58,45 +55,23 @@ fail() {
 SANDBOX="${TMPDIR:-/tmp}/verdict_docs_check_$$"
 mkdir -p "$SANDBOX/build/tools"
 
-# Live-daemon registry: one "pid<TAB>socket" line per backgrounded daemon.
-DAEMON_REG="$SANDBOX/daemons.txt"
-: > "$DAEMON_REG"
+# The backgrounded daemon, if one is running.
+DAEMON_PID=""
 
-stop_daemon_pid() {
-  kill -TERM "$1" 2>/dev/null
+stop_daemon() {
+  [ -n "$DAEMON_PID" ] || return 0
+  kill -TERM "$DAEMON_PID" 2>/dev/null
   # Give the drain a moment, then make sure it is gone.
   for _ in 1 2 3 4 5 6 7 8 9 10; do
-    kill -0 "$1" 2>/dev/null || break
+    kill -0 "$DAEMON_PID" 2>/dev/null || break
     sleep 0.1
   done
-  kill -KILL "$1" 2>/dev/null
-}
-
-kill_daemons() {
-  [ -f "$DAEMON_REG" ] || return 0
-  while IFS="$(printf '\t')" read -r pid _sock; do
-    [ -n "$pid" ] && stop_daemon_pid "$pid"
-  done < "$DAEMON_REG"
-  : > "$DAEMON_REG"
-}
-
-# unregister_daemon SOCKET: stop and drop the daemon bound to SOCKET, if
-# any; daemons on other sockets are left alone.
-unregister_daemon() {
-  old_pid=$(awk -F'\t' -v s="$1" '$2 == s { print $1 }' "$DAEMON_REG")
-  if [ -n "$old_pid" ]; then
-    stop_daemon_pid "$old_pid"
-    awk -F'\t' -v s="$1" '$2 != s' "$DAEMON_REG" > "$DAEMON_REG.new" &&
-      mv "$DAEMON_REG.new" "$DAEMON_REG"
-  fi
-}
-
-register_daemon() { # PID SOCKET
-  printf '%s\t%s\n' "$1" "$2" >> "$DAEMON_REG"
+  kill -KILL "$DAEMON_PID" 2>/dev/null
+  DAEMON_PID=""
 }
 
 cleanup() {
-  kill_daemons
+  stop_daemon
   rm -rf "$SANDBOX"
 }
 trap cleanup EXIT
@@ -172,23 +147,22 @@ while IFS="$(printf '\t')" read -r source cmd; do
       fi
       case "$cmd" in
         *"&")
-          # A backgrounded daemon example: start it, then wait for its
-          # --socket path so the --connect examples that follow have a live
-          # server. Keyed by socket path — reusing a path replaces that
-          # daemon, other daemons (the other shards) keep running.
+          # A backgrounded daemon example: replace the running daemon, then
+          # wait for the --socket path so the --connect examples that follow
+          # have a live server.
           sock=$(printf '%s\n' "$cmd" | sed -n 's/.*--socket \([^ ]*\).*/\1/p')
           [ -n "$sock" ] || fail "[$source] daemon example without --socket: $cmd"
           # A hard-killed predecessor leaves a stale socket file; make sure
           # the wait below observes the NEW daemon's bind.
-          unregister_daemon "$sock"
+          stop_daemon
           rm -f "$SANDBOX/$sock" "$sock" 2>/dev/null
           plain=${cmd%&}
           # Both execs matter: $! is the subshell's pid, and only if the
           # subshell and then `sh -c` replace themselves is that pid the
-          # daemon's own, which kill_daemons can stop.
+          # daemon's own, which stop_daemon can stop.
           (cd "$SANDBOX" && export PATH="$SANDBOX/build/tools:$PATH" &&
              exec sh -c "exec $plain") > "$out" 2>&1 &
-          register_daemon $! "$sock"
+          DAEMON_PID=$!
           i=0
           while [ ! -S "$SANDBOX/$sock" ] && [ ! -S "$sock" ]; do
             i=$((i + 1))

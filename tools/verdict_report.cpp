@@ -135,29 +135,23 @@ JsonValue validate_stats_document(const std::string& text) {
       for (const char* k : kIncCounters) known = known || name == k;
       require(known, "counters." + name + " is not a known inc.* counter");
     }
-    // The service-plane counters are likewise closed (docs/service.md and
-    // docs/sharding.md): request admission, verdict cache, batching, wire
-    // framing, model cache, plus the sharded-store tiers (ring routing, the
-    // persistent segment, and the peer exchange).
+    // The service-plane counters are likewise closed (docs/service.md):
+    // request admission, verdict cache, batching, wire framing, model cache,
+    // and the persistent segment.
     if (name.rfind("svc.", 0) == 0) {
       static const char* kSvcCounters[] = {
-          "svc.requests",           "svc.rejected",
-          "svc.connections",        "svc.queue.enqueued",
-          "svc.queue.dequeued",     "svc.cache.hit",
-          "svc.cache.miss",         "svc.cache.insert",
-          "svc.cache.evict",        "svc.cache.reject",
-          "svc.cache.load_skipped", "svc.cache_bypassed",
-          "svc.rehydrate_failed",   "svc.fp_memo_clears",
-          "svc.batches_formed",     "svc.batch_size",
-          "svc.frames_rejected",    "svc.model_cache.hit",
-          "svc.model_cache.miss",   "svc.ring.local",
-          "svc.ring.remote",        "svc.segment.hit",
-          "svc.segment.miss",       "svc.segment.append",
-          "svc.segment.loaded",     "svc.segment.skipped",
-          "svc.peer.get",           "svc.peer.hit",
-          "svc.peer.miss",          "svc.peer.put",
-          "svc.peer.serve_get",     "svc.peer.serve_put",
-          "svc.peer.unreachable",
+          "svc.requests",         "svc.rejected",
+          "svc.connections",      "svc.queue.enqueued",
+          "svc.queue.dequeued",   "svc.cache.hit",
+          "svc.cache.miss",       "svc.cache.insert",
+          "svc.cache.evict",      "svc.cache.reject",
+          "svc.cache_bypassed",   "svc.rehydrate_failed",
+          "svc.fp_memo_clears",   "svc.batches_formed",
+          "svc.batch_size",       "svc.frames_rejected",
+          "svc.model_cache.hit",  "svc.model_cache.miss",
+          "svc.segment.hit",      "svc.segment.miss",
+          "svc.segment.append",   "svc.segment.loaded",
+          "svc.segment.skipped",
       };
       bool known = false;
       for (const char* k : kSvcCounters) known = known || name == k;

@@ -46,11 +46,6 @@
 //                          Size it to the SLOWEST single verification, not
 //                          the connect window: the daemon sends nothing
 //                          while a check runs (default 0: no I/O bound)
-//   --shard-of SPEC        print which cluster shard owns each selected LTL
-//                          property's request fingerprint under the
-//                          consistent-hash ring built from SPEC (the same
-//                          comma-separated --cluster value the daemons got;
-//                          docs/sharding.md) and exit 0 — no checking runs
 //   --quiet                only print the per-property verdict lines
 //   --version              print version (git SHA, build type, Z3) and exit
 //
@@ -85,8 +80,6 @@
 #include "obs/trace.h"
 #include "smt/solver.h"
 #include "svc/client.h"
-#include "svc/fingerprint.h"
-#include "svc/ring.h"
 #include "ts/smv_export.h"
 #include "util/strings.h"
 #include "util/version.h"
@@ -113,7 +106,6 @@ struct Options {
   std::string stats_json;  // when set, write the verdict-stats-v1 document here
   std::string trace_out;   // when set, stream NDJSON engine events here
   std::string connect;     // when set, check LTL props via verdictd at this socket
-  std::string shard_of;    // when set, print ring owners for a cluster spec
   double connect_timeout = 0.0;   // --connect-timeout: connect retry window
   double io_timeout = 0.0;        // --io-timeout: per-read/write socket bound
 };
@@ -141,8 +133,6 @@ struct Options {
                "  --connect-timeout SECS  retry connect while verdictd starts\n"
                "  --io-timeout SECS  bound each socket read/write (size to the\n"
                "                     slowest single check; default: unbounded)\n"
-               "  --shard-of SPEC    print the owning cluster shard per selected\n"
-               "                     LTL property and exit (docs/sharding.md)\n"
                "  --quiet            only print the per-property verdict lines\n"
                "  --version          print version (git SHA, build type, Z3)\n"
                "exit codes:\n"
@@ -228,8 +218,6 @@ Options parse_args(int argc, char** argv) {
       options.trace_out = value();
     } else if (arg == "--connect") {
       options.connect = value();
-    } else if (arg == "--shard-of") {
-      options.shard_of = value();
     } else if (arg == "--connect-timeout") {
       options.connect_timeout = std::atof(value().c_str());
       if (options.connect_timeout < 0) {
@@ -363,26 +351,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "verdictc: unknown property '%s'\n", wanted.c_str());
       return 2;
     }
-  }
-
-  // --shard-of: answer "which daemon will serve this?" without running any
-  // engine. The fingerprint and the ring are both deterministic, so this
-  // computes the same owner every shard computes (docs/sharding.md).
-  if (!options.shard_of.empty()) {
-    try {
-      const svc::Ring ring = svc::Ring::from_spec(options.shard_of);
-      for (const auto& [name, property] : model.ltl_properties) {
-        if (!selected(options, name)) continue;
-        const svc::Fingerprint fp = svc::fingerprint_request(
-            model.system, property, options.engine, options.depth);
-        std::printf("ltl %-24s %s -> shard %zu (%s)\n", name.c_str(),
-                    fp.str().c_str(), ring.owner(fp) + 1, ring.owner_id(fp).c_str());
-      }
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "verdictc: %s\n", error.what());
-      return 2;
-    }
-    return 0;
   }
 
   const util::Deadline deadline = options.timeout > 0

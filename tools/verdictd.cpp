@@ -3,9 +3,9 @@
 // Serves verdictc requests over a Unix-domain socket with a content-addressed
 // verdict cache in front of the engines: re-verifying an unchanged
 // (model, property, engine, depth) request is a hash lookup, identical
-// concurrent requests collapse to one solver run, and --cache-file carries
-// proven verdicts across daemon restarts. Protocol and cacheability rules:
-// docs/service.md.
+// requests in one batch share one solver run, and --segment-file carries
+// proven verdicts across daemon restarts and crashes. Protocol and
+// cacheability rules: docs/service.md.
 //
 // Usage:
 //   verdictd --socket PATH [options]
@@ -16,15 +16,9 @@
 //   --queue-limit N     max admitted-but-unfinished requests; further
 //                       requests are rejected immediately (default 64)
 //   --cache-capacity N  in-memory verdict cache entries (default 4096)
-//   --cache-file FILE   NDJSON verdict store: loaded at startup, written on
-//                       graceful shutdown (SIGTERM/SIGINT)
-//   --segment-file FILE mmap'd persistent segment: appended on every fresh
-//                       definitive verdict, replayed at startup — verdicts
-//                       survive a crash between --cache-file snapshots
-//   --cluster SPEC      comma-separated socket paths of EVERY shard in the
-//                       cluster (this daemon's --socket must be one of
-//                       them): enables the consistent-hash ring and the
-//                       PEER_GET/PEER_PUT tier (docs/sharding.md)
+//   --segment-file FILE mmap'd persistent verdict segment: appended on every
+//                       definitive verdict when it is stored, replayed at
+//                       startup — verdicts survive a restart or a crash
 //   --batch-window MS   coalescing window in milliseconds: requests arriving
 //                       within it that share a (model, engine, depth,
 //                       deadline-class) fingerprint are verified as ONE
@@ -38,7 +32,7 @@
 //   --version           print version (git SHA, build type, Z3) and exit
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish in-flight
-// verdicts, persist the cache, exit 0.
+// verdicts, exit 0.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -51,7 +45,6 @@
 #include "portfolio/pool.h"
 #include "smt/solver.h"
 #include "svc/daemon.h"
-#include "svc/peer.h"
 #include "util/version.h"
 
 namespace {
@@ -70,9 +63,7 @@ void handle_signal(int) {
                "  --jobs N            worker threads (0 = all hardware threads)\n"
                "  --queue-limit N     max in-flight requests before rejecting (64)\n"
                "  --cache-capacity N  in-memory verdict cache entries (4096)\n"
-               "  --cache-file FILE   persistent verdict store (NDJSON)\n"
                "  --segment-file FILE mmap'd crash-safe verdict segment\n"
-               "  --cluster SPEC      comma-separated shard socket paths\n"
                "  --batch-window MS   session-batching window, ms (2; 0 = batches of one)\n"
                "  --batch-max N       max requests per batch (16)\n"
                "  --max-message BYTES inbound frame payload limit (8388608)\n"
@@ -91,7 +82,6 @@ int main(int argc, char** argv) {
   svc::DaemonOptions options;
   options.service.jobs = 0;  // a daemon defaults to every hardware thread
   std::string trace_out;
-  std::string cluster;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -108,12 +98,8 @@ int main(int argc, char** argv) {
       options.service.queue_limit = static_cast<std::size_t>(std::atol(value().c_str()));
     } else if (arg == "--cache-capacity") {
       options.service.cache.capacity = static_cast<std::size_t>(std::atol(value().c_str()));
-    } else if (arg == "--cache-file") {
-      options.service.cache_file = value();
     } else if (arg == "--segment-file") {
       options.service.segment_file = value();
-    } else if (arg == "--cluster") {
-      cluster = value();
     } else if (arg == "--batch-window") {
       options.service.batch_window_seconds = std::atof(value().c_str()) / 1000.0;
     } else if (arg == "--batch-max") {
@@ -135,13 +121,6 @@ int main(int argc, char** argv) {
     }
   }
   if (options.socket_path.empty()) usage(argv[0], 2);
-  if (!cluster.empty()) {
-    // A shard joins the ring under its own socket path; the ring is only
-    // shared if every shard (and verdictc --shard-of) was given the
-    // identical spec.
-    options.service.cluster = cluster;
-    options.service.self_id = options.socket_path;
-  }
 
   std::unique_ptr<obs::TraceSink> trace_sink;
   if (!trace_out.empty()) {
@@ -157,7 +136,7 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   try {
     svc::Daemon daemon(options);
-    // Incremental re-verification: index whatever the cache file carried
+    // Incremental re-verification: index whatever the segment replayed
     // (artifacts re-earn trust through revalidation — docs/incremental.md)
     // and serve edited-model requests from prior versions' proofs.
     inc::ReuseEngine reuse(daemon.service().cache());
@@ -169,12 +148,6 @@ int main(int argc, char** argv) {
     if (!quiet && reindexed != 0)
       std::printf("verdictd: indexed %zu prior verdict(s) for incremental reuse\n",
                   reindexed);
-    if (!quiet && daemon.service().peers() != nullptr) {
-      const svc::Ring& ring = daemon.service().peers()->ring();
-      std::printf("verdictd: shard %zu of %zu on the cluster ring (%zu virtual node(s))\n",
-                  *ring.index_of(options.socket_path) + 1, ring.size(),
-                  ring.size() * svc::kVirtualNodesPerNode);
-    }
     if (!quiet)
       std::printf("verdictd: listening on %s (%zu jobs, queue limit %zu)\n",
                   options.socket_path.c_str(),
