@@ -4,19 +4,15 @@
 #include <iomanip>
 #include <sstream>
 
-#include "core/engine_util.h"
+#include "core/bmc.h"
+#include "core/kinduction.h"
 #include "core/liveness.h"
 #include "core/reduce.h"
-#include "enc/unroller.h"
 #include "ltl/parser.h"
 #include "obs/trace.h"
 #include "portfolio/portfolio.h"
-#include "smt/solver.h"
-#include "util/log.h"
 
 namespace verdict::core {
-
-using expr::Expr;
 
 namespace {
 
@@ -27,181 +23,6 @@ void fold_cost(Stats& total, const Stats& stats) {
   total.solvers_created += stats.solvers_created;
   total.solver_seconds += stats.solver_seconds;
   total.depth_reached = std::max(total.depth_reached, stats.depth_reached);
-}
-
-// Shared state of one in-progress batch group: which properties are still
-// unresolved, and the uniform way a property leaves the group.
-class Group {
- public:
-  Group(std::vector<PropertyVerdict>& out, std::vector<std::size_t> members,
-        const util::Stopwatch& watch, std::string engine)
-      : out_(out), pending_(std::move(members)), watch_(watch), engine_(std::move(engine)) {
-    for (const std::size_t i : pending_) out_[i].outcome.stats.engine = engine_;
-  }
-
-  [[nodiscard]] const std::vector<std::size_t>& pending() const { return pending_; }
-  [[nodiscard]] std::vector<std::size_t> pending_copy() const { return pending_; }
-  [[nodiscard]] bool done() const { return pending_.empty(); }
-  [[nodiscard]] CheckOutcome& outcome(std::size_t i) { return out_[i].outcome; }
-
-  void resolve(std::size_t i, Verdict verdict, std::string message = "") {
-    CheckOutcome& o = out_[i].outcome;
-    o.verdict = verdict;
-    if (!message.empty()) o.message = std::move(message);
-    o.stats.seconds = watch_.elapsed_seconds();
-    std::erase(pending_, i);
-    if (obs::TraceSink* s = obs::sink())
-      s->event("session.resolve")
-          .attr("property", i)
-          .attr("engine", engine_)
-          .attr("verdict", verdict_name(verdict))
-          .attr("depth", o.stats.depth_reached)
-          .emit();
-  }
-
-  void resolve_rest(Verdict verdict, const std::string& message) {
-    for (const std::size_t i : pending_copy()) resolve(i, verdict, message);
-  }
-
- private:
-  std::vector<PropertyVerdict>& out_;
-  std::vector<std::size_t> pending_;
-  const util::Stopwatch& watch_;
-  std::string engine_;
-};
-
-// All invariant properties over one shared init+unrolling solver: per depth,
-// each pending property is one check_assuming against its activation literal.
-void run_shared_bmc(const ts::TransitionSystem& system, Group& group,
-                    const std::vector<Expr>& bad, const SessionOptions& options,
-                    Stats& total) {
-  smt::Solver solver;
-  enc::Unroller unroller(solver, system);
-  for (int k = 0; k <= options.max_depth && !group.done(); ++k) {
-    if (options.deadline.expired_or_cancelled()) {
-      group.resolve_rest(Verdict::kTimeout,
-                         "deadline expired before depth " + std::to_string(k));
-      break;
-    }
-    unroller.ensure_frames(k);
-    const double solve_before = solver.check_seconds();
-    for (const std::size_t i : group.pending_copy()) {
-      const std::size_t before = solver.num_checks();
-      const std::vector<z3::expr> assumptions{unroller.literal(bad[i], k)};
-      const smt::CheckResult r = solver.check_assuming(assumptions, options.deadline);
-      group.outcome(i).stats.depth_reached = k;
-      if (r == smt::CheckResult::kSat) {
-        solver.refine_real_model(system.params(), 0, options.deadline, assumptions);
-        group.outcome(i).counterexample = extract_trace(solver, system, k);
-        group.resolve(i, Verdict::kViolated);
-      } else if (r == smt::CheckResult::kUnknown) {
-        group.resolve(i,
-                      options.deadline.expired_or_cancelled() ? Verdict::kTimeout
-                                                              : Verdict::kUnknown,
-                      "solver returned unknown at depth " + std::to_string(k));
-      }
-      group.outcome(i).stats.solver_checks += solver.num_checks() - before;
-    }
-    if (obs::TraceSink* s = obs::sink())
-      s->event("session.depth")
-          .attr("engine", "bmc")
-          .attr("k", k)
-          .attr("pending", group.pending_copy().size())
-          .attr("solve_seconds", solver.check_seconds() - solve_before)
-          .emit();
-  }
-  group.resolve_rest(Verdict::kBoundReached, "");
-  total.solver_checks += solver.num_checks();
-  total.frame_assertions += solver.num_assertions();
-  total.solvers_created += 1;
-  total.solver_seconds += solver.check_seconds();
-  total.depth_reached = std::max(total.depth_reached, unroller.max_frame());
-  obs::count("session.shared_bmc_checks", solver.num_checks());
-}
-
-// All invariant properties over one shared base solver and one shared step
-// solver. The step unrolling and its simple-path constraints are property-
-// independent; each property only assumes its own P@0..k and !P@k+1
-// literals, so N properties pay the expensive encoding once.
-void run_shared_kinduction(const ts::TransitionSystem& system, Group& group,
-                           const std::vector<Expr>& invariant,
-                           const std::vector<Expr>& bad,
-                           const SessionOptions& options, Stats& total) {
-  smt::Solver base_solver;
-  enc::Unroller base(base_solver, system);
-  smt::Solver step_solver;
-  enc::Unroller step(step_solver, system, {.assert_init = false});
-
-  for (int k = 0; k <= options.max_depth && !group.done(); ++k) {
-    if (options.deadline.expired_or_cancelled()) {
-      group.resolve_rest(Verdict::kTimeout, "deadline expired at k=" + std::to_string(k));
-      break;
-    }
-    const double solve_before = base_solver.check_seconds() + step_solver.check_seconds();
-    base.ensure_frames(k);
-    step.ensure_frames(k + 1);
-    for (int j = 0; j < k + 1; ++j)
-      step_solver.add(states_distinct(step_solver, system, j, k + 1));
-
-    for (const std::size_t i : group.pending_copy()) {
-      const std::size_t before = base_solver.num_checks() + step_solver.num_checks();
-      group.outcome(i).stats.depth_reached = k;
-
-      const std::vector<z3::expr> base_assumptions{base.literal(bad[i], k)};
-      const smt::CheckResult base_result =
-          base_solver.check_assuming(base_assumptions, options.deadline);
-      if (base_result == smt::CheckResult::kSat) {
-        base_solver.refine_real_model(system.params(), 0, options.deadline,
-                                      base_assumptions);
-        group.outcome(i).counterexample = extract_trace(base_solver, system, k);
-        group.resolve(i, Verdict::kViolated);
-      } else if (base_result == smt::CheckResult::kUnknown) {
-        group.resolve(i,
-                      options.deadline.expired_or_cancelled() ? Verdict::kTimeout
-                                                              : Verdict::kUnknown,
-                      "base case unknown at k=" + std::to_string(k));
-      } else {
-        std::vector<z3::expr> step_assumptions;
-        for (int j = 0; j <= k; ++j) step_assumptions.push_back(step.literal(invariant[i], j));
-        step_assumptions.push_back(step.literal(bad[i], k + 1));
-        const smt::CheckResult step_result =
-            step_solver.check_assuming(step_assumptions, options.deadline);
-        if (step_result == smt::CheckResult::kUnsat) {
-          ProofArtifact artifact;
-          artifact.kind = ProofArtifact::Kind::kKInduction;
-          artifact.k = k;
-          group.outcome(i).artifact = std::move(artifact);
-          group.resolve(i, Verdict::kHolds,
-                        "proved by " + std::to_string(k + 1) + "-induction");
-        } else if (step_result == smt::CheckResult::kUnknown) {
-          group.resolve(i,
-                        options.deadline.expired_or_cancelled() ? Verdict::kTimeout
-                                                                : Verdict::kUnknown,
-                        "step case unknown at k=" + std::to_string(k));
-        }
-      }
-      group.outcome(i).stats.solver_checks +=
-          base_solver.num_checks() + step_solver.num_checks() - before;
-    }
-    if (obs::TraceSink* s = obs::sink())
-      s->event("session.depth")
-          .attr("engine", "kinduction")
-          .attr("k", k)
-          .attr("pending", group.pending_copy().size())
-          .attr("solve_seconds", base_solver.check_seconds() +
-                                     step_solver.check_seconds() - solve_before)
-          .emit();
-  }
-  group.resolve_rest(Verdict::kBoundReached,
-                     "no proof or counterexample within k=" +
-                         std::to_string(options.max_depth));
-  total.solver_checks += base_solver.num_checks() + step_solver.num_checks();
-  total.frame_assertions += base_solver.num_assertions() + step_solver.num_assertions();
-  total.solvers_created += 2;
-  total.solver_seconds += base_solver.check_seconds() + step_solver.check_seconds();
-  total.depth_reached = std::max(total.depth_reached, base.max_frame());
-  obs::count("session.shared_kind_checks",
-             base_solver.num_checks() + step_solver.num_checks());
 }
 
 }  // namespace
@@ -304,10 +125,19 @@ SessionResult Session::check_all(const SessionOptions& options) const {
   // quotient decides are fresh too and must reach the cache hook.
   const std::vector<std::size_t> fresh = todo;
   const auto store_fresh = [&] {
-    if (!options.cache) return;
-    for (const std::size_t i : fresh)
-      options.cache->store(system_, properties_[i].formula, options.engine,
-                           options.max_depth, result.properties[i].outcome);
+    for (const std::size_t i : fresh) {
+      const CheckOutcome& o = result.properties[i].outcome;
+      if (obs::TraceSink* s = obs::sink())
+        s->event("session.resolve")
+            .attr("property", i)
+            .attr("engine", o.stats.engine)
+            .attr("verdict", verdict_name(o.verdict))
+            .attr("depth", o.stats.depth_reached)
+            .emit();
+      if (options.cache)
+        options.cache->store(system_, properties_[i].formula, options.engine,
+                             options.max_depth, o);
+    }
   };
   if (todo.empty()) {
     result.total.seconds = watch.elapsed_seconds();
@@ -416,25 +246,21 @@ SessionResult Session::check_all(const SessionOptions& options) const {
     // on the same (smaller) shared unrolling.
     const auto run_safety = [&](const ts::TransitionSystem& system,
                                 std::span<const ltl::Formula> group) {
-      // Indexed like result.properties, so session.resolve events name the
-      // session's property indices.
-      std::vector<PropertyVerdict> local(properties_.size());
-      std::vector<Expr> invariant(properties_.size());
-      std::vector<Expr> bad(properties_.size());
-      for (std::size_t slot = 0; slot < group.size(); ++slot) {
-        invariant[safety[slot]] = ltl::invariant_atom(group[slot]);
-        bad[safety[slot]] = expr::mk_not(invariant[safety[slot]]);
-      }
-      Group shared(local, safety, watch,
-                   options.engine == Engine::kBmc ? "bmc" : "k-induction");
-      if (options.engine == Engine::kBmc) {
-        run_shared_bmc(system, shared, bad, options, result.total);
-      } else {
-        run_shared_kinduction(system, shared, invariant, bad, options, result.total);
-      }
-      std::vector<CheckOutcome> outcomes;
-      for (const std::size_t i : safety) outcomes.push_back(std::move(local[i].outcome));
-      return outcomes;
+      std::vector<InvariantQuery> queries;
+      for (const ltl::Formula& f : group)
+        queries.push_back({.invariant = ltl::invariant_atom(f)});
+      const bool bmc = options.engine == Engine::kBmc;
+      InvariantBatchResult batch =
+          bmc ? check_invariant_bmc_batch(
+                    system, queries,
+                    {.max_depth = options.max_depth, .deadline = options.deadline})
+              : check_invariant_kinduction_batch(
+                    system, queries,
+                    {.max_k = options.max_depth, .deadline = options.deadline});
+      fold_cost(result.total, batch.shared);
+      obs::count(bmc ? "session.shared_bmc_checks" : "session.shared_kind_checks",
+                 batch.shared.solver_checks);
+      return std::move(batch.outcomes);
     };
     decide_group(safety, true, run_safety);
   }

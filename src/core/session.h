@@ -5,11 +5,9 @@
 // API: every call builds fresh solvers and re-translates the transition
 // relation frame by frame. A Session amortizes that encoding across
 // properties the way an inference stack batches requests: add_property() N
-// times, then check_all() verifies all N over ONE shared unrolling
-// (enc::Unroller) using incremental check_assuming with one activation
-// literal per property — N properties cost one solver construction and one
-// set of frame assertions instead of N (see Stats::{solvers_created,
-// frame_assertions}).
+// times, then check_all() verifies all N over ONE shared unrolling — N
+// properties cost one solver construction and one set of frame assertions
+// instead of N (see Stats::{solvers_created, frame_assertions}).
 //
 //   core::Session session(scenario.system);
 //   session.add_property("available_ge_m", scenario.property);
@@ -17,15 +15,17 @@
 //   core::SessionResult r = session.check_all({.engine = core::Engine::kBmc});
 //   std::cout << r.table();
 //
-// Sharing by engine: kBmc shares one init+unrolling solver; kKInduction
-// shares a base and a step solver (simple-path constraints are
-// property-independent and encoded once); liveness properties share one
-// solver per depth (path + loop selectors + fairness encoded once, per-
-// property subformula tables activated by assumption). kAuto runs the shared
-// k-induction first (its base case is a shared BMC) and falls back to
-// one-shot kAuto for properties it leaves undecided. kPdr/kExplicit cannot
-// share an unrolling and delegate to core::check per property. jobs > 1 (or
-// kPortfolio) schedules (property × engine) lanes on one thread pool via
+// Sharing by engine: the invariant group is one batch of the bounded engines
+// (core/bmc.h, core/kinduction.h), each property one InvariantQuery
+// activated per check by its own assumption literals: kBmc runs the BMC
+// batch, kKInduction the k-induction batch (one base and one step solver).
+// Liveness properties share one solver per depth (check_ltl_lasso_batch:
+// path + loop selectors + fairness encoded once, per-property subformula
+// tables activated by assumption). kAuto runs the k-induction batch first
+// (its base case is a shared BMC) and falls back to one-shot kAuto for
+// properties it leaves undecided. kPdr/kExplicit cannot share an unrolling
+// and delegate to core::check per property. jobs > 1 (or kPortfolio)
+// schedules (property × engine) lanes on one thread pool via
 // portfolio::check_portfolio_batch.
 //
 // Reductions run through core/reduce.h, with the same rules as core::check:

@@ -6,18 +6,20 @@
 // (property proven), unsafe (counterexample found), or undecided (prover ran
 // out of budget).
 //
-// The search enumerates the (constraint-filtered) parameter space, but before
-// spending solver time on a candidate it replays every counterexample trace
+// The search enumerates the (constraint-filtered) parameter space. With
+// SynthProver::kPdr every candidate gets its own pinned system, but before
+// spending solver time on one the sweep replays every counterexample trace
 // found so far under the candidate's parameter values — a trace that stays
-// feasible condemns the candidate for free. This trace-generalization step is
-// what makes the enumeration practical on larger spaces.
+// feasible condemns the candidate for free.
 //
-// With SynthProver::kKInduction the sweep additionally shares TWO persistent
-// solvers (base + step) across the whole candidate space: candidates are
-// pinned through assumption literals (p == value) per check_assuming, so the
-// frame unrolling and simple-path constraints — which do not depend on the
-// candidate — are encoded once for the entire enumeration instead of once
-// per candidate (see enc::Unroller).
+// With SynthProver::kKInduction the whole sweep is ONE k-induction batch
+// (check_invariant_kinduction_batch): every candidate is a query whose
+// frame-0 assumption pins the parameters (p == value), so the frame
+// unrolling and simple-path constraints, which do not depend on the
+// candidate, are encoded once for the entire enumeration. There is no replay
+// pruning here: a witness that replays under a pending candidate is found by
+// that candidate's own base query at the same depth, so pruned_by_replay
+// reads 0 on k-induction sweeps.
 //
 // Both drivers (this one and portfolio::synthesize_params_parallel) run their
 // sweep through core::synthesize_optimized (core/reduce.h): first on the
@@ -40,7 +42,8 @@ enum class SynthProver : std::uint8_t { kKInduction, kPdr };
 
 struct SynthOptions {
   SynthProver prover = SynthProver::kPdr;
-  /// Budget per candidate; kTimeout/kBoundReached candidates become undecided.
+  /// Budget per candidate (for k-induction: solver time across the sweep);
+  /// kTimeout/kBoundReached candidates become undecided.
   double per_candidate_seconds = 30.0;
   util::Deadline deadline = util::Deadline::never();
   int max_depth = 100;  // prover frame/k bound
@@ -57,7 +60,8 @@ struct SynthResult {
   /// One witness trace per unsafe assignment (parallel to `unsafe`).
   std::vector<ts::Trace> witnesses;
   Stats stats;
-  /// Candidates condemned by trace replay without a solver call.
+  /// Candidates condemned by trace replay without a solver call (PDR sweeps
+  /// only).
   std::size_t pruned_by_replay = 0;
 
   [[nodiscard]] bool complete() const { return undecided.empty(); }

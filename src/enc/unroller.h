@@ -9,8 +9,11 @@
 // hands out a cached assumption literal activating an arbitrary boolean
 // formula at a frame, so N properties (or N parameter candidates) can share
 // one unrolling through incremental check_assuming instead of rebuilding N
-// solvers. This is the encoding-reuse layer behind core::Session and the
-// persistent-solver parameter synthesis.
+// solvers. This is the encoding layer of the batch engines
+// (core::check_invariant_{bmc,kinduction}_batch), through which sessions and
+// parameter synthesis run, and of the lasso engine. Bounded unrollings are
+// built only there and in inc/revalidate.cpp, the independent re-checker of
+// cached proofs.
 //
 // Construction order matters: the Unroller calls set_rigid on the solver, so
 // it must be created before anything is translated on that solver. The

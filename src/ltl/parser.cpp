@@ -54,8 +54,30 @@ enum class PK : std::uint8_t {
   kMaxCall,
 };
 
+bool is_temporal(PK k) {
+  switch (k) {
+    case PK::kX:
+    case PK::kF:
+    case PK::kG:
+    case PK::kU:
+    case PK::kR:
+    case PK::kEX:
+    case PK::kEF:
+    case PK::kEG:
+    case PK::kEU:
+    case PK::kAX:
+    case PK::kAF:
+    case PK::kAG:
+    case PK::kAU:
+      return true;
+    default:
+      return false;
+  }
+}
+
 struct PNode {
   PK kind;
+  bool temporal = false;  // this node or a descendant is a temporal operator
   std::int64_t int_value = 0;
   util::Rational real_value;
   std::string ident;
@@ -65,24 +87,27 @@ struct PNode {
 
 using PNodePtr = std::unique_ptr<PNode>;
 
-PNodePtr make_node(PK kind, std::size_t pos) {
+PNodePtr make_node(PK kind, std::size_t pos, std::vector<PNodePtr> kids = {}) {
   auto n = std::make_unique<PNode>();
   n->kind = kind;
   n->pos = pos;
+  n->temporal = is_temporal(kind);
+  for (const PNodePtr& k : kids) n->temporal = n->temporal || k->temporal;
+  n->kids = std::move(kids);
   return n;
 }
 
 PNodePtr make_unary(PK kind, std::size_t pos, PNodePtr kid) {
-  PNodePtr n = make_node(kind, pos);
-  n->kids.push_back(std::move(kid));
-  return n;
+  std::vector<PNodePtr> kids;
+  kids.push_back(std::move(kid));
+  return make_node(kind, pos, std::move(kids));
 }
 
 PNodePtr make_binary(PK kind, std::size_t pos, PNodePtr a, PNodePtr b) {
-  PNodePtr n = make_node(kind, pos);
-  n->kids.push_back(std::move(a));
-  n->kids.push_back(std::move(b));
-  return n;
+  std::vector<PNodePtr> kids;
+  kids.push_back(std::move(a));
+  kids.push_back(std::move(b));
+  return make_node(kind, pos, std::move(kids));
 }
 
 // --- Tokenizer ----------------------------------------------------------------
@@ -202,7 +227,8 @@ class Lexer {
       std::size_t end = pos_;
       bool real = false;
       while (end < text_.size() &&
-             (std::isdigit(static_cast<unsigned char>(text_[end])) || text_[end] == '.')) {
+             (std::isdigit(static_cast<unsigned char>(text_[end])) ||
+              (text_[end] == '.' && !real))) {
         if (text_[end] == '.') real = true;
         ++end;
       }
@@ -238,6 +264,14 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : lexer_(text) {}
 
+  // Parse-tree depth bound. Every nesting level (a parenthesis, call or path
+  // quantifier bracket, a unary or right-associative operator) and every
+  // link of a left-associative chain (`a & b & ...`) counts one, so neither
+  // this recursive descent nor the recursive lowering of the tree it builds
+  // can overflow the stack on hostile input. A constant, like obs/json.cpp's
+  // nesting bound.
+  static constexpr int kMaxDepth = 512;
+
   PNodePtr parse_all() {
     PNodePtr node = parse_iff();
     const Token& t = lexer_.peek();
@@ -246,9 +280,34 @@ class Parser {
   }
 
  private:
+  // Counts levels against kMaxDepth for one parse call; gives them back on
+  // return.
+  class Depth {
+   public:
+    explicit Depth(Parser& parser) : parser_(parser) {}
+    Depth(const Depth&) = delete;
+    Depth& operator=(const Depth&) = delete;
+    ~Depth() { parser_.depth_ -= taken_; }
+    void add() {
+      ++taken_;
+      if (++parser_.depth_ > kMaxDepth)
+        throw ParseError("formula nests deeper than " + std::to_string(kMaxDepth) +
+                             " levels",
+                         parser_.lexer_.peek().pos);
+    }
+
+   private:
+    Parser& parser_;
+    int taken_ = 0;
+  };
+
+  // Reached through parse_unary (a parenthesis, call or bracket), whose
+  // level counts for it.
   PNodePtr parse_iff() {
+    Depth depth(*this);
     PNodePtr lhs = parse_impl();
     while (lexer_.peek().kind == Tok::kIff) {
+      depth.add();
       const std::size_t pos = lexer_.take().pos;
       lhs = make_binary(PK::kIff, pos, std::move(lhs), parse_impl());
     }
@@ -258,6 +317,8 @@ class Parser {
   PNodePtr parse_impl() {
     PNodePtr lhs = parse_or();
     if (lexer_.peek().kind == Tok::kImplies) {
+      Depth depth(*this);
+      depth.add();
       const std::size_t pos = lexer_.take().pos;
       return make_binary(PK::kImplies, pos, std::move(lhs), parse_impl());
     }
@@ -265,8 +326,10 @@ class Parser {
   }
 
   PNodePtr parse_or() {
+    Depth depth(*this);
     PNodePtr lhs = parse_and();
     while (lexer_.peek().kind == Tok::kOr) {
+      depth.add();
       const std::size_t pos = lexer_.take().pos;
       lhs = make_binary(PK::kOr, pos, std::move(lhs), parse_and());
     }
@@ -274,8 +337,10 @@ class Parser {
   }
 
   PNodePtr parse_and() {
+    Depth depth(*this);
     PNodePtr lhs = parse_until();
     while (lexer_.peek().kind == Tok::kAnd) {
+      depth.add();
       const std::size_t pos = lexer_.take().pos;
       lhs = make_binary(PK::kAnd, pos, std::move(lhs), parse_until());
     }
@@ -289,6 +354,8 @@ class Parser {
     // linear-time binary operator.
     if (bracket_depth_ == 0 && t.kind == Tok::kIdent && (t.text == "U" || t.text == "R")) {
       const bool is_until = t.text == "U";
+      Depth depth(*this);
+      depth.add();
       const std::size_t pos = lexer_.take().pos;
       return make_binary(is_until ? PK::kU : PK::kR, pos, std::move(lhs), parse_until());
     }
@@ -314,10 +381,12 @@ class Parser {
   }
 
   PNodePtr parse_add() {
+    Depth depth(*this);
     PNodePtr lhs = parse_mul();
     while (true) {
       const Tok k = lexer_.peek().kind;
       if (k != Tok::kPlus && k != Tok::kMinus) return lhs;
+      depth.add();
       const std::size_t pos = lexer_.take().pos;
       lhs = make_binary(k == Tok::kPlus ? PK::kAdd : PK::kSub, pos, std::move(lhs),
                         parse_mul());
@@ -325,10 +394,12 @@ class Parser {
   }
 
   PNodePtr parse_mul() {
+    Depth depth(*this);
     PNodePtr lhs = parse_unary();
     while (true) {
       const Tok k = lexer_.peek().kind;
       if (k != Tok::kStar && k != Tok::kSlash) return lhs;
+      depth.add();
       const std::size_t pos = lexer_.take().pos;
       lhs = make_binary(k == Tok::kStar ? PK::kMul : PK::kDiv, pos, std::move(lhs),
                         parse_unary());
@@ -336,6 +407,8 @@ class Parser {
   }
 
   PNodePtr parse_unary() {
+    Depth depth(*this);
+    depth.add();
     const Token& t = lexer_.peek();
     if (t.kind == Tok::kNot) {
       const std::size_t pos = lexer_.take().pos;
@@ -380,13 +453,16 @@ class Parser {
     const Token t = lexer_.take();
     switch (t.kind) {
       case Tok::kNumber: {
-        if (t.is_real) {
-          PNodePtr n = make_node(PK::kReal, t.pos);
-          n->real_value = util::Rational::parse(t.text);
-          return n;
+        PNodePtr n = make_node(t.is_real ? PK::kReal : PK::kInt, t.pos);
+        try {
+          if (t.is_real) {
+            n->real_value = util::Rational::parse(t.text);
+          } else {
+            n->int_value = std::stoll(t.text);
+          }
+        } catch (const std::exception& e) {
+          throw ParseError(std::string("bad number literal: ") + e.what(), t.pos);
         }
-        PNodePtr n = make_node(PK::kInt, t.pos);
-        n->int_value = std::stoll(t.text);
         return n;
       }
       case Tok::kIdent: {
@@ -405,12 +481,10 @@ class Parser {
             throw ParseError(t.text + " expects " + std::to_string(expected) +
                                  " arguments",
                              t.pos);
-          PNodePtr n = make_node(t.text == "ite"   ? PK::kIteCall
-                                 : t.text == "min" ? PK::kMinCall
-                                                   : PK::kMaxCall,
-                                 t.pos);
-          for (PNodePtr& a : args) n->kids.push_back(std::move(a));
-          return n;
+          return make_node(t.text == "ite"   ? PK::kIteCall
+                           : t.text == "min" ? PK::kMinCall
+                                             : PK::kMaxCall,
+                           t.pos, std::move(args));
         }
         if (t.text == "true" || t.text == "TRUE") {
           PNodePtr n = make_node(PK::kBool, t.pos);
@@ -444,37 +518,10 @@ class Parser {
 
   Lexer lexer_;
   int bracket_depth_ = 0;
+  int depth_ = 0;
 };
 
 // --- Lowering -----------------------------------------------------------------
-
-bool is_temporal(PK k) {
-  switch (k) {
-    case PK::kX:
-    case PK::kF:
-    case PK::kG:
-    case PK::kU:
-    case PK::kR:
-    case PK::kEX:
-    case PK::kEF:
-    case PK::kEG:
-    case PK::kEU:
-    case PK::kAX:
-    case PK::kAF:
-    case PK::kAG:
-    case PK::kAU:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool contains_temporal(const PNode& n) {
-  if (is_temporal(n.kind)) return true;
-  for (const PNodePtr& k : n.kids)
-    if (contains_temporal(*k)) return true;
-  return false;
-}
 
 expr::Expr lower_expr(const PNode& n, const Resolver& resolver) {
   const auto kid = [&](std::size_t i) { return lower_expr(*n.kids[i], resolver); };
@@ -537,7 +584,7 @@ expr::Expr lower_expr(const PNode& n, const Resolver& resolver) {
 }
 
 Formula lower_ltl(const PNode& n, const Resolver& resolver) {
-  if (!contains_temporal(n)) return atom(lower_expr(n, resolver));
+  if (!n.temporal) return atom(lower_expr(n, resolver));
   const auto kid = [&](std::size_t i) { return lower_ltl(*n.kids[i], resolver); };
   switch (n.kind) {
     case PK::kNot:
@@ -572,7 +619,7 @@ Formula lower_ltl(const PNode& n, const Resolver& resolver) {
 }
 
 CtlFormula lower_ctl(const PNode& n, const Resolver& resolver) {
-  if (!contains_temporal(n)) return ctl_atom(lower_expr(n, resolver));
+  if (!n.temporal) return ctl_atom(lower_expr(n, resolver));
   const auto kid = [&](std::size_t i) { return lower_ctl(*n.kids[i], resolver); };
   switch (n.kind) {
     case PK::kNot:

@@ -19,6 +19,10 @@
 // global expr variable registry), so the same parser serves standalone
 // property strings and the vml modeling DSL. The temporal keywords
 // X F G U R E A EX EF EG EU AX AF AG AU are reserved.
+//
+// The parse tree is at most 512 levels deep: every nesting level and every
+// link of a left-associative chain counts one, and deeper text is a
+// ParseError (so hostile input cannot overflow the stack).
 #pragma once
 
 #include <functional>

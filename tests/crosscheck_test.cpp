@@ -6,6 +6,8 @@
 // on proofs, and the lasso LTL engine against the concrete lasso evaluator.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bdd/checker.h"
 #include "core/bmc.h"
 #include "core/checker.h"
@@ -26,6 +28,13 @@
 
 namespace verdict {
 namespace {
+
+// The k of a k-induction proof artifact, if the outcome carries one.
+std::optional<int> induction_k(const core::CheckOutcome& outcome) {
+  if (!outcome.artifact || outcome.artifact->kind != core::ProofArtifact::Kind::kKInduction)
+    return std::nullopt;
+  return outcome.artifact->k;
+}
 
 using core::Verdict;
 using expr::Expr;
@@ -232,6 +241,11 @@ TEST_P(RandomSystemCrossCheck, SessionVerdictsMatchOneShotPerEnginePerProperty) 
       const auto& outcome = batch.properties[i].outcome;
       EXPECT_EQ(outcome.verdict, solo.verdict)
           << "engine " << static_cast<int>(engine) << " on " << properties[i].str();
+      EXPECT_EQ(outcome.stats.depth_reached, solo.stats.depth_reached)
+          << "engine " << static_cast<int>(engine) << " on " << properties[i].str();
+      if (induction_k(outcome) && induction_k(solo)) {
+        EXPECT_EQ(*induction_k(outcome), *induction_k(solo)) << properties[i].str();
+      }
       if (outcome.violated()) {
         std::string error;
         EXPECT_TRUE(core::confirm_counterexample(sys.ts, properties[i], outcome, &error))
@@ -389,21 +403,23 @@ TEST(SynthCrossCheck, ClassificationMatchesExplicitOracle) {
   ts.add_init(expr::mk_eq(x, expr::int_const(0)));
   ts.add_trans(expr::mk_eq(expr::next(x), expr::ite(expr::mk_lt(x, cap), x + 1, x)));
   const Expr invariant = expr::mk_le(x, expr::int_const(3));
+  const auto oracle = [&](const ts::State& candidate) {
+    ts::TransitionSystem pinned = ts;
+    pinned.add_param_constraint(
+        expr::mk_eq(cap, expr::constant_of(*candidate.get(cap), cap.type())));
+    return core::check_invariant_explicit(pinned, invariant).verdict;
+  };
 
-  const auto result = core::synthesize_params(ts, invariant);
-  ASSERT_TRUE(result.complete());
-  for (const ts::State& candidate : result.safe) {
-    ts::TransitionSystem pinned = ts;
-    pinned.add_param_constraint(
-        expr::mk_eq(cap, expr::constant_of(*candidate.get(cap), cap.type())));
-    EXPECT_EQ(core::check_invariant_explicit(pinned, invariant).verdict, Verdict::kHolds);
-  }
-  for (const ts::State& candidate : result.unsafe) {
-    ts::TransitionSystem pinned = ts;
-    pinned.add_param_constraint(
-        expr::mk_eq(cap, expr::constant_of(*candidate.get(cap), cap.type())));
-    EXPECT_EQ(core::check_invariant_explicit(pinned, invariant).verdict,
-              Verdict::kViolated);
+  for (const core::SynthProver prover :
+       {core::SynthProver::kPdr, core::SynthProver::kKInduction}) {
+    SCOPED_TRACE(prover == core::SynthProver::kPdr ? "pdr" : "k-induction");
+    const auto result = core::synthesize_params(ts, invariant, {.prover = prover});
+    ASSERT_TRUE(result.complete());
+    EXPECT_EQ(result.safe.size() + result.unsafe.size(), 7u);
+    for (const ts::State& candidate : result.safe)
+      EXPECT_EQ(oracle(candidate), Verdict::kHolds);
+    for (const ts::State& candidate : result.unsafe)
+      EXPECT_EQ(oracle(candidate), Verdict::kViolated);
   }
 }
 

@@ -3,6 +3,7 @@
 // the disabled-path cost contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -13,6 +14,7 @@
 
 #include "core/bmc.h"
 #include "core/checker.h"
+#include "core/session.h"
 #include "ltl/ltl.h"
 #include "obs/explain.h"
 #include "obs/json.h"
@@ -158,6 +160,49 @@ TEST(TraceSink, PortfolioRunEmitsCoherentEvents) {
   }
   EXPECT_GE(lane_starts, 2u) << "a race needs at least two lanes";
   EXPECT_EQ(wins, 1u);
+}
+
+// A session's safety group is one engine batch: one engine.start/finish
+// span around the shared unrolling, whatever the number of properties, with
+// every per-depth progress event inside it.
+TEST(TraceSink, SessionBatchIsOneEngineSpan) {
+  const auto ts = counter_system("obs_ses", 8);
+  const Expr x = expr::var_by_name("obs_ses_x");
+  for (const core::Engine engine : {core::Engine::kBmc, core::Engine::kKInduction}) {
+    const std::string name = engine == core::Engine::kBmc ? "bmc" : "k-induction";
+    SCOPED_TRACE(name);
+    core::Session session(ts);
+    session.add_property("lt5", ltl::G(ltl::atom(expr::mk_lt(x, expr::int_const(5)))));
+    session.add_property("le8", ltl::G(ltl::atom(expr::mk_le(x, expr::int_const(8)))));
+    session.add_property("ge0", ltl::G(ltl::atom(expr::mk_le(expr::int_const(0), x))));
+
+    std::ostringstream out;
+    obs::TraceSink sink(out);
+    SinkGuard guard(&sink);
+    const auto result = session.check_all({.engine = engine, .max_depth = 10});
+    obs::set_sink(nullptr);
+    sink.flush();
+    EXPECT_EQ(result.properties[0].outcome.verdict, core::Verdict::kViolated);
+
+    const std::string progress = engine == core::Engine::kBmc ? "bmc.depth" : "kinduction.k";
+    std::vector<std::string> order;  // engine.start / progress / engine.finish
+    for (const std::string& line : lines_of(out.str())) {
+      const obs::JsonValue e = obs::parse_json(line);
+      const std::string& type = e["type"].string;
+      if (type == "engine.start" || type == "engine.finish") {
+        EXPECT_EQ(e["engine"].string, name);
+        order.push_back(type);
+      } else if (type == progress) {
+        EXPECT_TRUE(e.has("pending")) << line;
+        order.push_back(type);
+      }
+    }
+    ASSERT_GE(order.size(), 3u);
+    EXPECT_EQ(std::count(order.begin(), order.end(), "engine.start"), 1);
+    EXPECT_EQ(std::count(order.begin(), order.end(), "engine.finish"), 1);
+    EXPECT_EQ(order.front(), "engine.start");
+    EXPECT_EQ(order.back(), "engine.finish");
+  }
 }
 
 // Cost contract: with no sink installed the instrumentation gate is one

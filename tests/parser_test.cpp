@@ -110,6 +110,35 @@ TEST_F(ParserTest, SyntaxErrorsCarryOffsets) {
   EXPECT_THROW((void)parse_ctl("E[pt_b R pt_b]"), ParseError);  // only U in brackets
 }
 
+// Hostile depth ends in a ParseError, not a stack overflow: deep nesting
+// (parentheses, unary operators) and long left-associative chains both
+// count against the parse-tree depth bound. Depths well inside the bound
+// still parse.
+TEST_F(ParserTest, DepthBoundRejectsDeepNestingAndLongChains) {
+  const auto nested = [](int depth) {
+    return "G " + std::string(depth, '(') + "pt_x < 3" + std::string(depth, ')');
+  };
+  const auto chain = [](int terms) {
+    std::string text = "G (pt_x < 3";
+    for (int i = 1; i < terms; ++i) text += " & pt_b";
+    return text + ")";
+  };
+  const auto negations = [](int depth) { return "G " + std::string(depth, '!') + "pt_b"; };
+  for (const std::string& text : {nested(200000), chain(200000), negations(200000)}) {
+    try {
+      (void)parse_ltl(text);
+      FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nests deeper"), std::string::npos) << e.what();
+      EXPECT_LT(e.position(), text.size());
+    }
+  }
+  EXPECT_NO_THROW((void)parse_ltl(nested(400)));
+  EXPECT_NO_THROW((void)parse_ltl(chain(400)));
+  EXPECT_NO_THROW((void)parse_ltl(negations(400)));
+  EXPECT_NO_THROW((void)parse_expr(std::string(400, '(') + "pt_x" + std::string(400, ')')));
+}
+
 TEST_F(ParserTest, FunctionCallSyntax) {
   const Expr x = expr::var_by_name("pt_x");
   const Expr y = expr::var_by_name("pt_y");

@@ -8,12 +8,21 @@
 // evaluator; (3) the aggregate/result API (all_hold/any_violated/table).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/checker.h"
 #include "core/session.h"
 #include "scenarios/rollout_partition.h"
 
 namespace verdict {
 namespace {
+
+// The k of a k-induction proof artifact, if the outcome carries one.
+std::optional<int> induction_k(const core::CheckOutcome& outcome) {
+  if (!outcome.artifact || outcome.artifact->kind != core::ProofArtifact::Kind::kKInduction)
+    return std::nullopt;
+  return outcome.artifact->k;
+}
 
 using core::Engine;
 using core::Verdict;
@@ -117,6 +126,18 @@ TEST(SessionParity, VerdictsMatchOneShotForEveryEngine) {
       const auto& outcome = batch.properties[i].outcome;
       EXPECT_EQ(outcome.verdict, solo.verdict)
           << name << " under engine " << static_cast<int>(engine);
+      // kAuto sessions run their safety group by k-induction where one-shot
+      // kAuto starts with PDR, so only the fixed engines share a depth. An
+      // artifact is compared where both runs have one: a holds decided on the
+      // counting quotient carries none, and the session's quotient covers
+      // the whole group where the one-shot's covers one property.
+      if (engine != Engine::kAuto) {
+        EXPECT_EQ(outcome.stats.depth_reached, solo.stats.depth_reached)
+            << name << " under engine " << static_cast<int>(engine);
+      }
+      if (induction_k(outcome) && induction_k(solo)) {
+        EXPECT_EQ(*induction_k(outcome), *induction_k(solo)) << name;
+      }
       if (outcome.violated()) {
         std::string error;
         EXPECT_TRUE(core::confirm_counterexample(sc.system, property, outcome, &error))

@@ -26,7 +26,9 @@
 #include "core/session.h"
 #include "expr/expr.h"
 #include "ltl/ltl.h"
+#include "ltl/parser.h"
 #include "mdl/vml.h"
+#include "obs/json.h"
 #include "obs/trace.h"
 #include "scenarios/rollout_partition.h"
 #include "svc/client.h"
@@ -478,6 +480,29 @@ system {
 }
 )vml";
 
+// Serves `daemon` on its own thread; stop() (or leaving the scope) calls
+// request_stop() and joins it. A failing ASSERT_* then returns from the test
+// with the server joined, instead of destroying a joinable std::thread,
+// which would terminate the whole test binary.
+class ServerThread {
+ public:
+  explicit ServerThread(svc::Daemon& daemon)
+      : daemon_(daemon), thread_([this] { daemon_.serve(); }) {}
+  ServerThread(const ServerThread&) = delete;
+  ServerThread& operator=(const ServerThread&) = delete;
+  ~ServerThread() { stop(); }
+
+  void stop() {
+    if (!thread_.joinable()) return;
+    daemon_.request_stop();
+    thread_.join();
+  }
+
+ private:
+  svc::Daemon& daemon_;
+  std::thread thread_;
+};
+
 TEST(Daemon, ServesConcurrentClientsWithInProcessVerdicts) {
   // Expected verdicts computed in-process, same engine/depth.
   const mdl::VmlModel model = mdl::parse_vml(kDaemonModel);
@@ -498,7 +523,7 @@ TEST(Daemon, ServesConcurrentClientsWithInProcessVerdicts) {
   options.socket_path = sock;
   options.service.jobs = 4;
   svc::Daemon daemon(options);
-  std::thread server([&] { daemon.serve(); });
+  ServerThread server(daemon);
 
   constexpr int kClients = 8;
   std::vector<std::thread> clients;
@@ -539,8 +564,7 @@ TEST(Daemon, ServesConcurrentClientsWithInProcessVerdicts) {
   }
   for (std::thread& t : clients) t.join();
 
-  daemon.request_stop();
-  server.join();
+  server.stop();
 
   EXPECT_EQ(failures.load(), 0);
   // 8 clients x 2 rounds x 2 props = 32 requests for 2 distinct keys: almost
@@ -563,7 +587,7 @@ TEST(Daemon, RejectsBadRequestsWithoutDying) {
   options.socket_path = sock;
   options.service.jobs = 1;
   svc::Daemon daemon(options);
-  std::thread server([&] { daemon.serve(); });
+  ServerThread server(daemon);
 
   {
     svc::Client client(sock);
@@ -586,8 +610,7 @@ TEST(Daemon, RejectsBadRequestsWithoutDying) {
                  std::runtime_error);
   }
 
-  daemon.request_stop();
-  server.join();
+  server.stop();
   ::unlink(sock.c_str());
   ::rmdir(sock_dir);
 }
@@ -817,6 +840,81 @@ TEST(FrameFuzz, MutatedFramesEndInAFrameOrAnError) {
     EXPECT_GT(errors, 0u) << "seed " << seed;
     EXPECT_GT(rejected_requests, 0u) << "seed " << seed;
     EXPECT_LT(rejected_requests, requests) << "seed " << seed;
+  }
+}
+
+// --- Adversarial input: property texts ---------------------------------------
+
+// Seeded, deterministic mutation loop over the LTL parser, which reads the
+// property texts of every request's model. Each input is a well-formed
+// property mutated by bit flips, truncation, spliced tokens, or a long run of
+// one token (parentheses, unary or binary operators) that drives the parse
+// tree past its depth bound. Every parse must end in a formula, a ParseError,
+// or the expression builders' type error for ill-typed text; it never
+// crashes or throws anything else.
+TEST(PropertyFuzz, MutatedPropertiesParseOrRaiseParseError) {
+  constexpr int kInputsPerSeed = 100000;
+  const expr::Expr x = expr::int_var("pfuzz.x", 0, 7);
+  const expr::Expr y = expr::int_var("pfuzz.y", 0, 7);
+  const ltl::Resolver resolver = [&](std::string_view name) {
+    if (name == "x") return x;
+    if (name == "y") return y;
+    throw std::invalid_argument("unknown");
+  };
+  const std::vector<std::string> corpus = {
+      "G (x <= 3)",
+      "G (x < 2 -> F (y = x + 1))",
+      "F G !(x = y) & G F (x != 0)",
+      "(x <= y) U (y >= 2 | X (x = 0)) <-> G (ite(x < 3, y, x) * 2 <= max(x, y) - min(y, 1))",
+      "G (x = 0 -> X (y > 1 R x < 4))",
+  };
+  const std::vector<std::string> tokens = {"(", ")", "!", "G ", "X ", "-", " & x",
+                                           " | y", " -> ", " U ", " + 1", " * x",
+                                           "ite(", ",", "[", "E", "1.5", "<->"};
+  for (const std::string& text : corpus) ASSERT_NO_THROW((void)ltl::parse_ltl(text, resolver));
+  for (const std::uint64_t seed : {1u, 2u}) {
+    std::mt19937_64 rng(seed);
+    const auto below = [&](std::size_t n) {
+      return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+    };
+    std::size_t parsed = 0, rejected = 0, too_deep = 0, ill_typed = 0, other = 0;
+    for (int input = 0; input < kInputsPerSeed; ++input) {
+      std::string text = corpus[below(corpus.size())];
+      // A deep run costs milliseconds (the error unwinds ~512 levels of
+      // descent), so one input in 256 gets one.
+      const std::size_t kind = below(256);
+      if (kind == 0) {  // up to 2,000 copies of one token
+        const std::string& token = tokens[below(tokens.size())];
+        std::string run;
+        for (std::size_t n = below(2000); n > 0; --n) run += token;
+        text.insert(below(text.size() + 1), run);
+      } else if (kind % 3 == 0) {  // bit flips
+        for (std::size_t n = 1 + below(4); n > 0 && !text.empty(); --n)
+          text[below(text.size())] ^= static_cast<char>(1u << below(8));
+      } else if (kind % 3 == 1) {  // truncation
+        text.resize(below(text.size()));
+      } else {  // spliced tokens
+        for (std::size_t n = 1 + below(4); n > 0; --n)
+          text.insert(below(text.size() + 1), tokens[below(tokens.size())]);
+      }
+      try {
+        (void)ltl::parse_ltl(text, resolver);
+        ++parsed;
+      } catch (const ltl::ParseError& error) {
+        ++rejected;
+        if (std::string_view(error.what()).find("nests deeper") != std::string_view::npos)
+          ++too_deep;
+      } catch (const std::invalid_argument&) {
+        ++ill_typed;
+      } catch (...) {
+        ++other;
+      }
+    }
+    EXPECT_EQ(other, 0u) << "seed " << seed;
+    EXPECT_GT(parsed, 0u) << "seed " << seed;
+    EXPECT_GT(rejected, 0u) << "seed " << seed;
+    EXPECT_GT(too_deep, 0u) << "seed " << seed;
+    EXPECT_GT(ill_typed, 0u) << "seed " << seed;
   }
 }
 
@@ -1371,7 +1469,7 @@ TEST(Daemon, RejectsJsonLineClientAndServesTheNext) {
   options.service.jobs = 2;
   options.service.batch_window_seconds = 0.002;  // production config
   svc::Daemon daemon(options);
-  std::thread server([&] { daemon.serve(); });
+  ServerThread server(daemon);
 
   // A client writing a JSON line instead of a frame gets one error frame
   // (bad magic, counted in svc.frames_rejected) and a closed connection.
@@ -1417,8 +1515,7 @@ TEST(Daemon, RejectsJsonLineClientAndServesTheNext) {
     });
   }
   for (std::thread& t : clients) t.join();
-  daemon.request_stop();
-  server.join();
+  server.stop();
   EXPECT_EQ(failures.load(), 0);
 
   ::unlink(sock.c_str());
@@ -1435,7 +1532,7 @@ TEST(Daemon, RejectsOversizedFrames) {
   options.service.jobs = 1;
   options.max_message_bytes = 1024;
   svc::Daemon daemon(options);
-  std::thread server([&] { daemon.serve(); });
+  ServerThread server(daemon);
 
   // A "model" comfortably over the limit but small enough to fit in the
   // socket buffers, so the client reliably reads the error response.
@@ -1461,8 +1558,54 @@ TEST(Daemon, RejectsOversizedFrames) {
     EXPECT_EQ(verdicts[0].outcome.verdict, core::Verdict::kHolds);
   }
 
-  daemon.request_stop();
-  server.join();
+  server.stop();
+  ::unlink(sock.c_str());
+  ::rmdir(sock_dir);
+}
+
+// A request whose model carries a property nested past the parser's depth
+// bound, as 200,000 parentheses or a 200,000-term `&` chain (each frame about
+// 400 KB, inside the default message limit), gets one error reply; the
+// daemon keeps serving.
+TEST(Daemon, RejectsDeeplyNestedPropertyAndServesTheNext) {
+  char sock_dir[] = "/tmp/svc_test.XXXXXX";
+  ASSERT_NE(::mkdtemp(sock_dir), nullptr);
+  const std::string sock = std::string(sock_dir) + "/d.sock";
+
+  svc::DaemonOptions options;
+  options.socket_path = sock;
+  options.service.jobs = 1;
+  svc::Daemon daemon(options);
+  ServerThread server(daemon);
+
+  constexpr int kDepth = 200000;
+  std::string chain = "svcd.x <= 3";
+  for (int i = 1; i < kDepth; ++i) chain += "&x";
+  for (const std::string& property :
+       {"G " + std::string(kDepth, '(') + "svcd.x <= 3" + std::string(kDepth, ')'),
+        "G (" + chain + ")"}) {
+    std::string model = kDaemonModel;
+    model.insert(model.rfind('}'), "  ltl deep \"" + property + "\";\n");
+    const std::string request =
+        R"({"id":"deep","model":")" + obs::json_escape(model) + R"(","props":["deep"]})";
+    const std::string reply = raw_exchange(sock, svc::encode_frame(svc::FrameType::kRequest, request));
+    svc::FrameDecoder decoder;
+    decoder.feed(reply);
+    const svc::FrameDecoder::Result error = decoder.next();
+    ASSERT_EQ(error.status, svc::FrameDecoder::Status::kFrame);
+    EXPECT_EQ(error.frame.type, svc::FrameType::kError);
+    EXPECT_NE(error.frame.payload.find("nests deeper"), std::string::npos)
+        << error.frame.payload.substr(0, 200);
+    EXPECT_EQ(decoder.next().status, svc::FrameDecoder::Status::kNeedMore);
+  }
+
+  svc::Client client(sock);
+  const auto verdicts =
+      client.check(kDaemonModel, {"bound_ok"}, core::Engine::kKInduction, 10, 0.0);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].outcome.verdict, core::Verdict::kHolds);
+
+  server.stop();
   ::unlink(sock.c_str());
   ::rmdir(sock_dir);
 }
@@ -1484,7 +1627,7 @@ TEST(Daemon, RejectsForgedStoreWriteAndStillServesTheViolation) {
   options.service.jobs = 2;
   options.service.segment_file = seg;
   svc::Daemon daemon(options);
-  std::thread server([&] { daemon.serve(); });
+  ServerThread server(daemon);
 
   const ltl::Formula& never_two = model.ltl_properties.at("never_two");
   const Fingerprint key =
@@ -1500,8 +1643,7 @@ TEST(Daemon, RejectsForgedStoreWriteAndStillServesTheViolation) {
   } catch (const std::exception& error) {
     ADD_FAILURE() << error.what();
   }
-  daemon.request_stop();
-  server.join();
+  server.stop();
 
   EXPECT_EQ(rejected_after, rejected_before + 1);
   svc::FrameDecoder decoder;

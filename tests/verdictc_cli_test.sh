@@ -104,10 +104,10 @@ head -1 "$TMP/trace.ndjson" | grep -q '"type":"run.start"' || \
   fail "trace must open with a run.start event"
 tail -1 "$TMP/trace.ndjson" | grep -q '"type":"run.finish"' || \
   fail "trace must close with a run.finish event"
-# LTL properties route through ONE core::Session, so the per-depth progress
-# event is the session's, not the one-shot engine's.
-grep -q '"type":"session.depth"' "$TMP/trace.ndjson" || \
-  fail "a session bmc run must emit session.depth events"
+# LTL properties route through ONE core::Session, whose safety group is one
+# BMC batch: its per-depth progress event carries the pending query count.
+grep '"type":"bmc.depth"' "$TMP/trace.ndjson" | grep -q '"pending":' || \
+  fail "a session bmc run must emit bmc.depth events with a pending count"
 grep -q '"type":"session.resolve"' "$TMP/trace.ndjson" || \
   fail "a session run must emit session.resolve events"
 
