@@ -2,7 +2,6 @@
 
 #include "core/engine_util.h"
 #include "enc/unroller.h"
-#include "portfolio/lemma_bus.h"
 #include "smt/solver.h"
 #include "util/log.h"
 
@@ -28,7 +27,6 @@ InvariantBatchResult check_invariant_bmc_batch(const ts::TransitionSystem& ts,
   run.track(solver);
   std::vector<Expr> bad;
   for (const InvariantQuery& q : queries) bad.push_back(expr::mk_not(q.invariant));
-  portfolio::LemmaFeed lemmas(options.lemma_bus);
 
   for (int k = 0; k <= options.max_depth && !run.done(); ++k) {
     if (options.deadline.expired_or_cancelled()) {
@@ -37,7 +35,6 @@ InvariantBatchResult check_invariant_bmc_batch(const ts::TransitionSystem& ts,
       break;
     }
     unroller.ensure_frames(k);
-    lemmas.sync(solver, k);
     run.note_depth(k);
     const double solve_before = solver.check_seconds();
     bool sat = false;

@@ -24,15 +24,11 @@
 #include "ts/transition_system.h"
 #include "util/stopwatch.h"
 
-namespace verdict::portfolio {
-class LemmaBus;
-}
-
 namespace verdict::core {
 
 /// One "does G invariant hold?" question of a batch. Only what differs
-/// between the queries of one unrolling is here; the bound, deadline and
-/// lemma bus belong to the batch's options.
+/// between the queries of one unrolling is here; the bound and the deadline
+/// belong to the batch's options.
 struct InvariantQuery {
   /// Boolean expression over the system's vars/params.
   expr::Expr invariant{};
@@ -55,11 +51,6 @@ struct InvariantBatchResult {
 struct BmcOptions {
   int max_depth = 50;
   util::Deadline deadline = util::Deadline::never();
-  /// When set, reachability-invariant clauses published by other portfolio
-  /// lanes are asserted at every unrolled frame as they arrive. Sound: the
-  /// verdict and depth are bit-identical to an isolated run (see
-  /// portfolio/lemma_bus.h).
-  portfolio::LemmaBus* lemma_bus = nullptr;
 };
 
 /// Checks G(invariant): returns kViolated + trace, kBoundReached, or kTimeout.

@@ -14,7 +14,6 @@
 #include "ltl/trace_eval.h"
 #include "obs/trace.h"
 #include "opt/optimize.h"
-#include "portfolio/portfolio.h"
 #include "util/log.h"
 
 namespace verdict::core {
@@ -72,7 +71,6 @@ CheckOutcome check_safety(const ts::TransitionSystem& ts, expr::Expr invariant,
       bmc.stats = std::move(merged);
       return bmc;
     }
-    case Engine::kPortfolio:
     case Engine::kLtlLasso:
       break;  // dispatched by the caller before reaching check_safety
   }
@@ -118,16 +116,6 @@ CheckOutcome check(const ts::TransitionSystem& ts, const ltl::Formula& property,
                           return decide_one(system, properties, inner);
                         })
             .front());
-  }
-
-  // Portfolio: explicit request, or kAuto with a parallelism budget.
-  if (options.engine == Engine::kPortfolio ||
-      (options.engine == Engine::kAuto && options.jobs != 1)) {
-    portfolio::PortfolioOptions po;
-    po.max_depth = options.max_depth;
-    po.deadline = options.deadline;
-    po.jobs = options.jobs;
-    return portfolio::check_portfolio(ts, property, po);
   }
 
   if (ltl::is_invariant_property(property) && options.engine != Engine::kLtlLasso)

@@ -27,7 +27,6 @@ enum class Engine : std::uint8_t {
   kPdr,         // IC3-style unbounded proof
   kExplicit,    // brute-force enumeration (finite domains)
   kLtlLasso,    // bounded lasso search for arbitrary LTL
-  kPortfolio,   // race BMC/k-induction/PDR (lasso/L2S for liveness) on threads
 };
 
 struct CheckOptions {
@@ -35,9 +34,6 @@ struct CheckOptions {
   /// Unroll depth (BMC/lasso), induction bound, or PDR frame limit.
   int max_depth = 50;
   util::Deadline deadline = util::Deadline::never();
-  /// Worker threads for the portfolio engine. kAuto upgrades to kPortfolio
-  /// when jobs > 1; 0 means "use all hardware threads".
-  std::size_t jobs = 1;
   /// Run the opt/ model-optimization pipeline (fold + constant propagation +
   /// cone-of-influence slicing for safety properties) before the engine sees
   /// the system. Counterexamples are lifted back to the original system; if

@@ -109,7 +109,7 @@ class EngineRun {
   }
 
   /// The timeout/unknown split every engine needs: kTimeout when the slice
-  /// (the deadline, the query's budget or a portfolio cancellation) caused
+  /// (the deadline, the query's budget or a service cancellation) caused
   /// the solver to give up, kUnknown when the solver gave up on its own.
   void give_up(std::size_t i, const util::Deadline& slice, std::string message) {
     resolve(i, slice.expired_or_cancelled() ? Verdict::kTimeout : Verdict::kUnknown,

@@ -4,7 +4,6 @@
 
 #include "core/engine_util.h"
 #include "enc/unroller.h"
-#include "portfolio/lemma_bus.h"
 #include "smt/solver.h"
 #include "util/log.h"
 
@@ -42,14 +41,6 @@ InvariantBatchResult check_invariant_kinduction_batch(
   enc::Unroller step(step_solver, ts, {.assert_init = false});
   run.track(step_solver);
 
-  // Shared-lemma feeds. Base: models are real executions, so asserting
-  // reachability invariants changes no verdict. Step: a shortest (or
-  // simple-path-compressed) counterexample suffix consists of reachable
-  // states, which satisfy every bus lemma — asserting them keeps kViolated
-  // and kHolds intact and can only make the step case UNSAT at a smaller k.
-  portfolio::LemmaFeed base_lemmas(options.lemma_bus);
-  portfolio::LemmaFeed step_lemmas(options.lemma_bus);
-
   for (int k = 0; k <= options.max_k && !run.done(); ++k) {
     run.note_depth(k);
     if (options.deadline.expired_or_cancelled()) {
@@ -60,7 +51,6 @@ InvariantBatchResult check_invariant_kinduction_batch(
 
     // --- Base: init-reachable violation within k steps?
     base.ensure_frames(k);
-    base_lemmas.sync(base_solver, k);
     for (const std::size_t i : run.pending()) {
       const util::Deadline slice = run.slice(i, options.deadline);
       const std::vector<z3::expr> assumptions =
@@ -78,7 +68,6 @@ InvariantBatchResult check_invariant_kinduction_batch(
 
     // --- Step: P holds along frames 0..k, can frame k+1 violate it?
     step.ensure_frames(k + 1);
-    step_lemmas.sync(step_solver, k + 1);
     if (one_invariant) step_solver.add(queries.front().invariant, k);
     for (int j = 0; j < k + 1; ++j)
       step_solver.add(states_distinct(step_solver, ts, j, k + 1));

@@ -23,20 +23,11 @@
 #include "ts/transition_system.h"
 #include "util/stopwatch.h"
 
-namespace verdict::portfolio {
-class LemmaBus;
-}
-
 namespace verdict::core {
 
 struct KInductionOptions {
   int max_k = 50;
   util::Deadline deadline = util::Deadline::never();
-  /// When set, reachability-invariant clauses published by other portfolio
-  /// lanes are asserted at every frame of both the base and the step solver.
-  /// Sound: a violation verdict is unchanged, and a proof can only land at
-  /// the same or smaller k (see portfolio/lemma_bus.h).
-  portfolio::LemmaBus* lemma_bus = nullptr;
 };
 
 /// Checks G(invariant); may return kHolds (proved), kViolated (+ trace),

@@ -5,7 +5,6 @@
 
 #include "expr/walk.h"
 #include "obs/trace.h"
-#include "portfolio/lemma_bus.h"
 #include "smt/solver.h"
 #include "util/log.h"
 
@@ -20,7 +19,6 @@ struct Lemma {
   z3::expr act;                 // activation literal
   int level;                    // member of F_1 .. F_level
   ts::State cube;               // the blocked (generalized) cube
-  bool exported = false;        // published on the lemma bus
 };
 
 struct Obligation {
@@ -337,40 +335,11 @@ class Pdr {
         const std::vector<z3::expr> assumptions = frame_assumptions(l);
         const smt::CheckResult r = solver_.check_assuming(assumptions, options_.deadline);
         solver_.pop();
-        if (r == smt::CheckResult::kUnsat) {
-          lemma.level = l + 1;
-          try_export(lemma);
-        }
+        if (r == smt::CheckResult::kUnsat) lemma.level = l + 1;
         if (r == smt::CheckResult::kUnknown && expired()) return false;
       }
     }
     return true;
-  }
-
-  // Publishes lemma.cube on the bus if its clause is 1-inductive relative to
-  // the clauses this run has already exported: with G = exported clauses and
-  // c = !cube, checks G/\c/\T/\cube' for UNSAT (the solver's permanent
-  // assertions supply invar, ranges, the transition and the param freeze).
-  // Since PDR never learns a cube that intersects init, UNSAT proves c holds
-  // in every reachable state, by mutual induction with the earlier exports —
-  // exactly the contract consumers rely on (portfolio/lemma_bus.h). Called
-  // after a successful push, where the clause is most likely inductive; a
-  // failed attempt retries naturally at the next push of the same lemma.
-  void try_export(Lemma& lemma) {
-    if (options_.lemma_bus == nullptr || lemma.exported) return;
-    solver_.push();
-    for (const auto& [id, v] : lemma.cube.values()) {
-      const Expr var = expr::var_by_name(expr::var_name(id));
-      solver_.add(literal_at(var, v, 1));  // cube' (negation of the clause)
-    }
-    std::vector<z3::expr> assumptions = exported_acts_;
-    assumptions.push_back(lemma.act);  // c in the pre-state
-    const smt::CheckResult r = solver_.check_assuming(assumptions, options_.deadline);
-    solver_.pop();
-    if (r != smt::CheckResult::kUnsat) return;
-    lemma.exported = true;
-    exported_acts_.push_back(lemma.act);
-    options_.lemma_bus->publish(lemma.cube);
   }
 
   // Splits extended states (vars + params) into a Trace.
@@ -400,7 +369,6 @@ class Pdr {
   z3::expr init_act_;
   Expr init_concrete_;
   std::vector<Lemma> lemmas_;
-  std::vector<z3::expr> exported_acts_;  // acts of bus-published lemmas
   Verdict blocked_verdict_ = Verdict::kHolds;
 };
 

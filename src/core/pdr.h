@@ -24,10 +24,6 @@
 #include "ts/transition_system.h"
 #include "util/stopwatch.h"
 
-namespace verdict::portfolio {
-class LemmaBus;
-}
-
 namespace verdict::core {
 
 struct PdrOptions {
@@ -35,10 +31,6 @@ struct PdrOptions {
   util::Deadline deadline = util::Deadline::never();
   /// Unsat-core based cube generalization (disable to measure its benefit).
   bool generalize = true;
-  /// When set, clauses proven 1-inductive relative to the already-exported
-  /// set are published for the other portfolio lanes (see
-  /// portfolio/lemma_bus.h for the soundness contract).
-  portfolio::LemmaBus* lemma_bus = nullptr;
 };
 
 [[nodiscard]] CheckOutcome check_invariant_pdr(const ts::TransitionSystem& ts,

@@ -78,7 +78,7 @@ using SynthSweep = std::function<SynthResult(
 /// one parameter constraint, so every witness is a concrete trace, lifted
 /// back like any counterexample (or the sweep redone if one does not lift). Without a quotient, (2) sweeps every
 /// candidate. Lists come out in enumeration order; pruned_by_replay counts
-/// only (2)'s prunes. Shared by the sequential and the parallel drivers.
+/// only (2)'s prunes.
 [[nodiscard]] SynthResult synthesize_optimized(const ts::TransitionSystem& ts,
                                                expr::Expr invariant,
                                                const SynthOptions& options,

@@ -51,7 +51,7 @@ struct Stats {
 
   /// Folds another engine run into this record: solver calls and solver time
   /// accumulate, depth keeps the maximum, and the engine label concatenates
-  /// ("pdr+bmc") so portfolio / fallback outcomes show every engine that ran.
+  /// ("pdr+bmc") so fallback outcomes show every engine that ran.
   void merge(const Stats& other) {
     seconds += other.seconds;
     solver_seconds += other.solver_seconds;

@@ -10,7 +10,6 @@
 #include "core/reduce.h"
 #include "ltl/parser.h"
 #include "obs/trace.h"
-#include "portfolio/portfolio.h"
 
 namespace verdict::core {
 
@@ -154,8 +153,8 @@ SessionResult Session::check_all(const SessionOptions& options) const {
   // abstracted once and checked by a nested cache-less session; properties it
   // does not decide fall through to the shared engines below.
   const CheckOptions check_options{.engine = options.engine, .max_depth = options.max_depth,
-                                   .deadline = options.deadline, .jobs = options.jobs,
-                                   .optimize = options.optimize, .abstract = options.abstract};
+                                   .deadline = options.deadline, .optimize = options.optimize,
+                                   .abstract = options.abstract};
   const auto decide_nested = [&](const ts::TransitionSystem& system,
                                  std::span<const ltl::Formula> properties,
                                  const CheckOptions& co) {
@@ -163,9 +162,8 @@ SessionResult Session::check_all(const SessionOptions& options) const {
     for (const ltl::Formula& f : properties) nested.add_property("", f);
     // Cache-less: reduced-system verdicts must not masquerade as concrete.
     SessionResult r = nested.check_all({.engine = co.engine, .max_depth = co.max_depth,
-                                        .deadline = co.deadline, .jobs = co.jobs,
-                                        .cache = nullptr, .optimize = co.optimize,
-                                        .abstract = co.abstract});
+                                        .deadline = co.deadline, .cache = nullptr,
+                                        .optimize = co.optimize, .abstract = co.abstract});
     fold_cost(result.total, r.total);
     std::vector<CheckOutcome> outcomes;
     for (PropertyVerdict& p : r.properties) outcomes.push_back(std::move(p.outcome));
@@ -197,23 +195,6 @@ SessionResult Session::check_all(const SessionOptions& options) const {
     for (std::size_t slot = 0; slot < members.size(); ++slot)
       result.properties[members[slot]].outcome = std::move(outcomes[slot]);
   };
-
-  // Parallel sessions: (property × engine) lanes on one pool.
-  if (!todo.empty() && (options.engine == Engine::kPortfolio ||
-                        (options.engine == Engine::kAuto && options.jobs != 1))) {
-    portfolio::PortfolioOptions po;
-    po.max_depth = options.max_depth;
-    po.deadline = options.deadline;
-    po.jobs = options.jobs;
-    decide_group(todo, false,
-                 [&](const ts::TransitionSystem& system, std::span<const ltl::Formula> batch) {
-                   std::vector<CheckOutcome> outcomes =
-                       portfolio::check_portfolio_batch(system, batch, po);
-                   for (const CheckOutcome& o : outcomes) fold_cost(result.total, o.stats);
-                   return outcomes;
-                 });
-    todo.clear();
-  }
 
   // Partition by sharing opportunity.
   std::vector<std::size_t> safety;    // shared BMC / k-induction group

@@ -24,9 +24,7 @@
 // tables activated by assumption). kAuto runs the k-induction batch first
 // (its base case is a shared BMC) and falls back to one-shot kAuto for
 // properties it leaves undecided. kPdr/kExplicit cannot share an unrolling
-// and delegate to core::check per property. jobs > 1 (or kPortfolio)
-// schedules (property × engine) lanes on one thread pool via
-// portfolio::check_portfolio_batch.
+// and delegate to core::check per property.
 //
 // Reductions run through core/reduce.h, with the same rules as core::check:
 // the invariant group first meets one counting quotient (core::check_quotient,
@@ -74,15 +72,12 @@ struct SessionOptions {
   int max_depth = 50;
   /// Budget for the whole session (all properties).
   util::Deadline deadline = util::Deadline::never();
-  /// Worker threads; != 1 with kAuto (or kPortfolio explicitly) races
-  /// (property × engine) lanes on one pool. 0 = all hardware threads.
-  std::size_t jobs = 1;
   /// Optional verdict memoization (not owned; may be shared across sessions
   /// and threads — implementations must be thread-safe). nullptr = off.
   PropertyCacheHook* cache = nullptr;
   /// Run the opt/ pipeline once per shared group (one cone-of-influence
   /// slice for the safety group, fold + constant propagation for the lasso
-  /// group and portfolio batches). Counterexamples are lifted back before
+  /// group). Counterexamples are lifted back before
   /// they are reported or offered to the cache hook.
   bool optimize = true;
   /// Run the abs/ symmetry-reduction stage once per session: the whole

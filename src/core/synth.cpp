@@ -55,8 +55,7 @@ SynthResult sweep_kinduction(const ts::TransitionSystem& ts, Expr invariant,
   InvariantBatchResult batch = check_invariant_kinduction_batch(
       ts, queries, {.max_k = options.max_depth, .deadline = options.deadline});
 
-  // Emitted in enumeration order so results are deterministic and comparable
-  // with the work-stealing driver.
+  // Emitted in enumeration order so results are deterministic.
   SynthResult result;
   for (std::size_t i = 0; i < candidates.size(); ++i)
     classify(result, candidates[i], batch.outcomes[i]);

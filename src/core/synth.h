@@ -21,12 +21,11 @@
 // that candidate's own base query at the same depth, so pruned_by_replay
 // reads 0 on k-induction sweeps.
 //
-// Both drivers (this one and portfolio::synthesize_params_parallel) run their
-// sweep through core::synthesize_optimized (core/reduce.h): first on the
-// counting quotient with the parameters left symbolic, where every candidate
-// proven safe is final, then on the original system restricted to the
-// candidates the quotient left open, where every witness is a concrete trace
-// (docs/abstraction.md, "Synthesis on the quotient").
+// The sweep runs through core::synthesize_optimized (core/reduce.h): first on
+// the counting quotient with the parameters left symbolic, where every
+// candidate proven safe is final, then on the original system restricted to
+// the candidates the quotient left open, where every witness is a concrete
+// trace (docs/abstraction.md, "Synthesis on the quotient").
 #pragma once
 
 #include <vector>
@@ -47,10 +46,6 @@ struct SynthOptions {
   double per_candidate_seconds = 30.0;
   util::Deadline deadline = util::Deadline::never();
   int max_depth = 100;  // prover frame/k bound
-  /// Worker threads. synthesize_params itself is sequential and ignores this;
-  /// portfolio::synthesize_params_parallel work-steals candidates across this
-  /// many workers (0 = all hardware threads) and honors every other knob.
-  std::size_t jobs = 1;
 };
 
 struct SynthResult {

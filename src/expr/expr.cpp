@@ -72,9 +72,10 @@ struct VarInfo {
   Expr node;  // the interned kVariable node
 };
 
-// The arena supports concurrent use by the portfolio engines: interning and
-// variable declaration serialize on one mutex, while the far hotter read
-// side (Expr accessors, the evaluator, engine translations) is lock-free.
+// The arena supports concurrent use by service batches on pool workers:
+// interning and variable declaration serialize on one mutex, while the far
+// hotter read side (Expr accessors, the evaluator, engine translations) is
+// lock-free.
 // Nodes live in fixed-size chunks that never move once allocated; a reader
 // only dereferences ids below the published size, and the release-store of
 // the size counter (after the node and its chunk pointer are fully written)

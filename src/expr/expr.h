@@ -22,7 +22,8 @@
 // provided as builders that rewrite into the core.
 //
 // Threading: the arena is a process-global singleton that is safe to use
-// from multiple threads (the portfolio engines build formulas concurrently).
+// from multiple threads (concurrent service batches on the svc/ pool workers
+// build formulas concurrently).
 // Interning serializes on one mutex; reads of already-interned nodes are
 // lock-free. Z3 contexts remain single-threaded — each engine/worker owns
 // its own smt::Solver (and thus its own z3::context).
@@ -244,8 +245,8 @@ Expr operator>=(Expr a, std::int64_t b);
 /// nodes and `vars` additional variables. A model builder that knows its
 /// size up front (e.g. a scenario over a topology with L links) calls this
 /// once so construction never rehashes mid-build — rehashing the node table
-/// is the single biggest allocation spike of a large model build, and under
-/// the portfolio it happens while other threads contend for the arena lock.
+/// is the single biggest allocation spike of a large model build, and in the
+/// service it happens while other batches contend for the arena lock.
 void reserve_arena(std::size_t nodes, std::size_t vars);
 
 /// Number of node-intern-table rehashes since process start. A correctly

@@ -2,10 +2,10 @@
 // registry.
 //
 // The verdict engines answer *what* (verdict, trace) but not *why this fast
-// or slow*: which portfolio lane won, where solver time went per frame, how
-// many proof obligations PDR chewed through. The TraceSink is the one place
-// those structured events go — every engine, the portfolio racer, the session
-// scheduler, and the SMT backend emit through it, and `verdictc --trace-out`
+// or slow*: where solver time went per frame, how many proof obligations PDR
+// chewed through. The TraceSink is the one place those structured events go —
+// every engine, the session scheduler, the reduction stage and the SMT
+// backend emit through it, and `verdictc --trace-out`
 // / tools/verdict-report consume it (schema: docs/observability.md).
 //
 // Cost model: tracing is OFF by default and must stay invisible to the
@@ -17,8 +17,9 @@
 //     s->event("pdr.frame").attr("frame", n).attr("lemmas", lemmas).emit();
 //
 // Thread-safety: events are formatted into a thread-local-free local buffer
-// and appended under one mutex, so concurrent portfolio lanes interleave
-// whole lines, never bytes (asserted under TSan by tests/obs_test.cpp).
+// and appended under one mutex, so concurrent service batches on pool
+// workers interleave whole lines, never bytes (asserted under TSan by
+// tests/obs_test.cpp).
 //
 // Counters: obs::count(name, delta) bumps a process-global named counter
 // (e.g. "smt.checks", "pdr.obligations"). Counters are always on — they are
@@ -107,7 +108,7 @@ class TraceSink {
   /// Throws std::runtime_error when the file cannot be opened.
   static std::unique_ptr<TraceSink> open_file(const std::string& path);
 
-  /// Starts an event of the given type (schema name, e.g. "portfolio.lane").
+  /// Starts an event of the given type (schema name, e.g. "pdr.frame").
   [[nodiscard]] EventBuilder event(std::string_view type) {
     return EventBuilder(*this, type);
   }

@@ -210,8 +210,8 @@ namespace {
 void apply_deadline(z3::context& ctx, z3::solver& solver, const util::Deadline& deadline) {
   z3::params p(ctx);
   if (deadline.cancelled()) {
-    // A portfolio sibling already won; make any further queries return
-    // immediately (the engine's next poll will stop the run).
+    // The run was cancelled (the service dropped its job); make any further
+    // queries return immediately (the engine's next poll will stop the run).
     p.set("timeout", 1u);
     solver.set(p);
     return;

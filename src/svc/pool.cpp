@@ -1,8 +1,8 @@
-#include "portfolio/pool.h"
+#include "svc/pool.h"
 
 #include <stdexcept>
 
-namespace verdict::portfolio {
+namespace verdict::svc {
 
 struct JobHandle::State {
   std::mutex mu;
@@ -54,21 +54,12 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) throw std::runtime_error("ThreadPool::submit after shutdown");
-    queue_.push_back(std::move(job));
-  }
-  cv_.notify_one();
-}
-
 JobHandle ThreadPool::submit_cancellable(
     std::function<void(const util::CancelToken&)> job) {
   JobHandle handle;
   handle.state_ = std::make_shared<JobHandle::State>();
   std::shared_ptr<JobHandle::State> state = handle.state_;
-  submit([state, job = std::move(job)] {
+  auto run = [state, job = std::move(job)] {
     try {
       job(state->token);
     } catch (...) {
@@ -80,7 +71,13 @@ JobHandle ThreadPool::submit_cancellable(
       state->done = true;
     }
     state->cv.notify_all();
-  });
+  };
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) throw std::runtime_error("ThreadPool::submit_cancellable after shutdown");
+    queue_.push_back(std::move(run));
+  }
+  cv_.notify_one();
   return handle;
 }
 
@@ -98,4 +95,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-}  // namespace verdict::portfolio
+}  // namespace verdict::svc

@@ -1,11 +1,10 @@
-// Fixed-size thread pool with a FIFO job queue.
+// Fixed-size thread pool with a FIFO job queue: the service's workers.
 //
-// The portfolio racer and the parallel synthesis driver both run on this
-// pool: jobs are plain closures, workers drain the queue until the pool is
-// destroyed. Cancellation is NOT the pool's concern — racing jobs share a
-// util::CancelToken (attached to their Deadline) and stop themselves at the
-// engines' existing deadline-poll sites, so a "cancelled" job simply returns
-// quickly rather than being torn down.
+// Every dispatched service batch becomes one pool job; workers drain the
+// queue until the pool is destroyed. Cancellation is NOT the pool's concern:
+// each job gets a util::CancelToken, folds it into its Deadline, and stops
+// itself at the engines' existing deadline-poll sites, so a "cancelled" job
+// simply returns quickly rather than being torn down.
 #pragma once
 
 #include <condition_variable>
@@ -19,10 +18,10 @@
 
 #include "util/stopwatch.h"
 
-namespace verdict::portfolio {
+namespace verdict::svc {
 
 /// Worker count to use when the caller passes jobs = 0: every hardware
-/// thread, with a floor of 2 so a portfolio still races somewhere.
+/// thread, with a floor of 2 so a busy batch never starves the next one.
 [[nodiscard]] std::size_t default_jobs();
 
 /// Handle to one submitted job (ThreadPool::submit_cancellable): lets a
@@ -55,20 +54,18 @@ class ThreadPool {
   explicit ThreadPool(std::size_t num_threads);
 
   /// Drains nothing: pending jobs that never started are dropped, running
-  /// jobs are joined. Callers that need results must wait on them (futures /
-  /// their own latch) before destroying the pool.
+  /// jobs are joined. Callers that need results must wait on them (their
+  /// handles / their own latch) before destroying the pool.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a job. Throws std::runtime_error after shutdown began.
-  void submit(std::function<void()> job);
-
   /// Enqueues a job that receives a per-job CancelToken and returns a handle
-  /// for cancelling/awaiting it from outside the pool (verdictd request
-  /// scheduling). The job's exceptions are swallowed — a handle only answers
-  /// "finished?", results travel through the closure's own channel.
+  /// for cancelling/awaiting it from outside the pool. The job's exceptions
+  /// are swallowed — a handle only answers "finished?", results travel
+  /// through the closure's own channel. Throws std::runtime_error after
+  /// shutdown began.
   JobHandle submit_cancellable(std::function<void(const util::CancelToken&)> job);
 
   [[nodiscard]] std::size_t num_threads() const { return threads_.size(); }
@@ -83,4 +80,4 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-}  // namespace verdict::portfolio
+}  // namespace verdict::svc

@@ -23,8 +23,6 @@ const char* engine_name(core::Engine e) {
       return "explicit";
     case Engine::kLtlLasso:
       return "lasso";
-    case Engine::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }
@@ -37,7 +35,6 @@ std::optional<core::Engine> engine_from_name(std::string_view name) {
   if (name == "pdr") return Engine::kPdr;
   if (name == "explicit") return Engine::kExplicit;
   if (name == "lasso") return Engine::kLtlLasso;
-  if (name == "portfolio") return Engine::kPortfolio;
   return std::nullopt;
 }
 

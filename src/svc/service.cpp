@@ -129,7 +129,7 @@ struct Batch {
   std::vector<Entry> entries;     // frozen once `dispatched`
   bool dispatched = false;
   std::size_t cancelled_members = 0;
-  portfolio::JobHandle handle;    // valid once dispatched
+  JobHandle handle;    // valid once dispatched
 };
 
 // Per-request view of a batch: completion signalling for wait()/done(), and
@@ -186,7 +186,7 @@ struct Service::Batcher {
 Service::Service(const ServiceOptions& options)
     : options_(options),
       cache_(std::make_unique<VerdictCache>(options.cache)),
-      pool_(std::make_unique<portfolio::ThreadPool>(options.jobs)),
+      pool_(std::make_unique<ThreadPool>(options.jobs)),
       inflight_(std::make_unique<Inflight>()) {
   if (!options_.segment_file.empty()) {
     segment_ = std::make_unique<SegmentStore>(options_.segment_file);
@@ -402,7 +402,7 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
   if (obs::TraceSink* s = obs::sink())
     s->event("svc.batch").attr("members", members).emit();
 
-  portfolio::JobHandle handle = pool_->submit_cancellable(
+  JobHandle handle = pool_->submit_cancellable(
       [batch, inflight, cache, segment, reuse](const util::CancelToken& token) {
         obs::count("svc.queue.dequeued", batch->entries.size());
         for (Batch::Entry& entry : batch->entries)
@@ -432,7 +432,6 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
           so.engine = batch->engine;
           so.max_depth = batch->max_depth;
           so.deadline = batch->deadline.with_cancel(token);
-          so.jobs = 1;  // the batch already owns one pool worker
           so.cache = &hook;
           so.optimize = batch->optimize;
           so.abstract = batch->abstract;

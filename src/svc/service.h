@@ -5,7 +5,7 @@
 // front-end over it, tools/verdictd.cpp) and is equally usable embedded —
 // bench/svc_throughput drives it directly. One Service owns:
 //
-//   * a portfolio::ThreadPool — every dispatched batch becomes one pool job,
+//   * a ThreadPool (svc/pool.h) — every dispatched batch becomes one pool job,
 //     so K clients with N properties each saturate the hardware instead of
 //     each spawning private solvers threads,
 //   * one verdict store — requests are fingerprinted (svc/fingerprint.h) and
@@ -44,7 +44,7 @@
 
 #include "core/checker.h"
 #include "core/session.h"
-#include "portfolio/pool.h"
+#include "svc/pool.h"
 #include "svc/reuse.h"
 #include "svc/segment.h"
 #include "svc/verdict_cache.h"
@@ -53,7 +53,7 @@
 namespace verdict::svc {
 
 struct ServiceOptions {
-  /// Pool workers (0 = portfolio::default_jobs()).
+  /// Pool workers (0 = default_jobs()).
   std::size_t jobs = 0;
   /// Maximum admitted-but-unfinished requests; submit() rejects beyond it.
   std::size_t queue_limit = 64;
@@ -187,7 +187,7 @@ class Service {
   ServiceOptions options_;
   std::unique_ptr<VerdictCache> cache_;
   std::unique_ptr<SegmentStore> segment_;   // null without segment_file
-  std::unique_ptr<portfolio::ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Inflight> inflight_;
   std::unique_ptr<Batcher> batcher_;
   ReuseHook* reuse_ = nullptr;

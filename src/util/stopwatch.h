@@ -3,9 +3,10 @@
 // Model-checking runs are bounded by wall-clock budgets (the paper uses a
 // one-hour timeout for its scalability experiment). Engines poll a Deadline
 // between solver calls and return Verdict::kTimeout when it expires. The
-// portfolio racer (src/portfolio/) reuses the same poll sites to stop losing
-// engines early: a CancelToken attached to a Deadline makes
-// expired_or_cancelled() fire as soon as another engine wins the race.
+// verification service (src/svc/) reuses the same poll sites to stop a
+// batch early: a CancelToken attached to a Deadline makes
+// expired_or_cancelled() fire as soon as the service cancels the job (its
+// client hung up, or the daemon is draining).
 #pragma once
 
 #include <algorithm>
@@ -91,7 +92,7 @@ class Deadline {
     return token_.has_value() && token_->cancelled();
   }
   /// The poll every engine runs between solver calls: true once the time
-  /// budget is gone OR a portfolio sibling won the race.
+  /// budget is gone OR the run was cancelled (svc::JobHandle::cancel).
   [[nodiscard]] bool expired_or_cancelled() const { return cancelled() || expired(); }
   [[nodiscard]] bool is_finite() const { return expiry_.has_value(); }
   [[nodiscard]] bool has_cancel_token() const { return token_.has_value(); }

@@ -20,9 +20,6 @@
 #include "ltl/trace_eval.h"
 #include "net/topology.h"
 #include "obs/trace.h"
-#include "portfolio/lemma_bus.h"
-#include "portfolio/par_synth.h"
-#include "portfolio/portfolio.h"
 #include "scenarios/k8s_loops.h"
 #include "scenarios/rollout_partition.h"
 
@@ -255,142 +252,6 @@ TEST_P(RandomSystemCrossCheck, SessionVerdictsMatchOneShotPerEnginePerProperty) 
   }
 }
 
-// The portfolio races BMC / k-induction / PDR on worker threads; whichever
-// lane wins, the verdict must equal the explicit oracle's (and sequential
-// BMC's violation-finding), and every violation trace must replay.
-TEST_P(RandomSystemCrossCheck, PortfolioAgreesWithOracleAndSequentialBmc) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 50021 + 17);
-  const RandomSystem sys = make_random_system(3000 + GetParam(), rng);
-
-  const std::vector<Expr> invariants = {
-      expr::mk_le(sys.x + sys.y, expr::int_const(6)),
-      expr::mk_lt(sys.x, expr::int_const(3)),
-      expr::mk_or({sys.b, expr::mk_le(sys.y, expr::int_const(2))}),
-      expr::mk_not(expr::mk_and({expr::mk_eq(sys.x, expr::int_const(3)),
-                                 expr::mk_eq(sys.y, expr::int_const(3))})),
-  };
-
-  for (const Expr& invariant : invariants) {
-    const auto oracle = core::check_invariant_explicit(sys.ts, invariant);
-    ASSERT_TRUE(oracle.verdict == Verdict::kHolds || oracle.verdict == Verdict::kViolated);
-    const bool holds = oracle.verdict == Verdict::kHolds;
-
-    const auto bmc = core::check_invariant_bmc(sys.ts, invariant, {.max_depth = 40});
-    EXPECT_EQ(bmc.verdict == Verdict::kViolated, !holds);
-
-    const ltl::Formula property = ltl::G(ltl::atom(invariant));
-    core::CheckOptions po;
-    po.engine = core::Engine::kPortfolio;
-    po.max_depth = 40;
-    po.jobs = 4;
-    const auto pf = core::check(sys.ts, property, po);
-    EXPECT_EQ(pf.verdict, holds ? Verdict::kHolds : Verdict::kViolated)
-        << "portfolio disagrees with oracle on " << invariant.str() << " — "
-        << core::describe(pf);
-    EXPECT_EQ(pf.stats.engine.rfind("portfolio[", 0), 0u) << pf.stats.engine;
-    if (pf.violated()) {
-      std::string error;
-      EXPECT_TRUE(core::confirm_counterexample(sys.ts, property, pf, &error)) << error;
-    }
-  }
-}
-
-// Cross-lane lemma sharing must be verdict-invisible. A PDR run fills a bus
-// with exported clauses; BMC and k-induction then consume the full bus from
-// their first depth — the worst case for interference — and must agree with
-// their isolated runs on both verdict directions. BMC must also match on
-// depth exactly: every exported clause holds on all reachable states, so no
-// real violating trace is ever excluded and no spurious one can appear.
-TEST_P(RandomSystemCrossCheck, LemmaSharingPreservesVerdicts) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 90001 + 29);
-  const RandomSystem sys = make_random_system(9000 + GetParam(), rng);
-
-  const std::vector<Expr> invariants = {
-      expr::mk_le(sys.x + sys.y, expr::int_const(6)),  // holds (range)
-      expr::mk_lt(sys.x, expr::int_const(3)),
-      expr::mk_or({sys.b, expr::mk_le(sys.y, expr::int_const(2))}),
-      expr::mk_not(expr::mk_and({expr::mk_eq(sys.x, expr::int_const(3)),
-                                 expr::mk_eq(sys.y, expr::int_const(3))})),
-  };
-
-  for (const Expr& invariant : invariants) {
-    portfolio::LemmaBus bus;
-    core::PdrOptions pdr_options;
-    pdr_options.lemma_bus = &bus;
-    const auto pdr = core::check_invariant_pdr(sys.ts, invariant, pdr_options);
-    ASSERT_TRUE(pdr.verdict == Verdict::kHolds || pdr.verdict == Verdict::kViolated);
-
-    // BMC: bit-identical verdict and depth with the bus fully pre-filled.
-    const auto bmc_off = core::check_invariant_bmc(sys.ts, invariant, {.max_depth = 40});
-    core::BmcOptions bmc_options;
-    bmc_options.max_depth = 40;
-    bmc_options.lemma_bus = &bus;
-    const auto bmc_on = core::check_invariant_bmc(sys.ts, invariant, bmc_options);
-    EXPECT_EQ(bmc_on.verdict, bmc_off.verdict)
-        << "lemma sharing changed the BMC verdict on " << invariant.str();
-    EXPECT_EQ(bmc_on.stats.depth_reached, bmc_off.stats.depth_reached)
-        << "lemma sharing changed the BMC depth on " << invariant.str();
-    if (bmc_on.counterexample) {
-      std::string error;
-      EXPECT_TRUE(sys.ts.trace_conforms(*bmc_on.counterexample, &error)) << error;
-    }
-
-    // k-induction: verdict preserved; a proof may only land at the same or a
-    // smaller k, a violation at the identical depth.
-    const auto kind_off =
-        core::check_invariant_kinduction(sys.ts, invariant, {.max_k = 40});
-    core::KInductionOptions kind_options;
-    kind_options.max_k = 40;
-    kind_options.lemma_bus = &bus;
-    const auto kind_on = core::check_invariant_kinduction(sys.ts, invariant, kind_options);
-    EXPECT_EQ(kind_on.verdict, kind_off.verdict)
-        << "lemma sharing changed the k-induction verdict on " << invariant.str();
-    if (kind_on.verdict == Verdict::kViolated) {
-      EXPECT_EQ(kind_on.stats.depth_reached, kind_off.stats.depth_reached);
-      ASSERT_TRUE(kind_on.counterexample.has_value());
-      std::string error;
-      EXPECT_TRUE(sys.ts.trace_conforms(*kind_on.counterexample, &error)) << error;
-    } else {
-      EXPECT_LE(kind_on.stats.depth_reached, kind_off.stats.depth_reached);
-    }
-
-    // All three engines agree with each other.
-    EXPECT_EQ(bmc_on.verdict == Verdict::kViolated, pdr.verdict == Verdict::kViolated);
-    EXPECT_EQ(kind_on.verdict, pdr.verdict);
-  }
-}
-
-// The racing portfolio with live (mid-run, cross-thread) lemma sharing gives
-// the same verdicts as with sharing disabled, on every seed and both verdict
-// directions.
-TEST_P(RandomSystemCrossCheck, PortfolioLemmaSharingOnOffParity) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104917 + 41);
-  const RandomSystem sys = make_random_system(9500 + GetParam(), rng);
-
-  const std::vector<Expr> invariants = {
-      expr::mk_lt(sys.x, expr::int_const(3)),
-      expr::mk_or({sys.b, expr::mk_le(sys.y, expr::int_const(2))}),
-  };
-  for (const Expr& invariant : invariants) {
-    const ltl::Formula property = ltl::G(ltl::atom(invariant));
-    portfolio::PortfolioOptions on;
-    on.max_depth = 40;
-    on.jobs = 4;
-    on.share_lemmas = true;
-    portfolio::PortfolioOptions off = on;
-    off.share_lemmas = false;
-    const auto with_sharing = portfolio::check_portfolio(sys.ts, property, on);
-    const auto without_sharing = portfolio::check_portfolio(sys.ts, property, off);
-    EXPECT_EQ(with_sharing.verdict, without_sharing.verdict)
-        << "share_lemmas flipped the portfolio verdict on " << invariant.str();
-    if (with_sharing.violated()) {
-      std::string error;
-      EXPECT_TRUE(core::confirm_counterexample(sys.ts, property, with_sharing, &error))
-          << error;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSystemCrossCheck, ::testing::Range(0, 12));
 
 // Parametric agreement: synthesis classification equals per-candidate oracle.
@@ -423,79 +284,10 @@ TEST(SynthCrossCheck, ClassificationMatchesExplicitOracle) {
   }
 }
 
-// The work-stealing driver must land on the identical classification the
-// sequential driver computes (same safe/unsafe partition, same ordering).
-TEST(SynthCrossCheck, ParallelMatchesSequentialClassification) {
-  ts::TransitionSystem ts;
-  const Expr x = expr::int_var("psxc_x", 0, 8);
-  const Expr cap = expr::int_var("psxc_cap", 0, 8);
-  const Expr step = expr::int_var("psxc_step", 1, 2);
-  ts.add_var(x);
-  ts.add_param(cap);
-  ts.add_param(step);
-  ts.add_init(expr::mk_eq(x, expr::int_const(0)));
-  ts.add_trans(expr::mk_eq(expr::next(x),
-                           expr::ite(expr::mk_lt(x, cap), expr::mk_min(x + step, cap), x)));
-  const Expr invariant = expr::mk_le(x, expr::int_const(4));
-
-  const auto sequential = core::synthesize_params(ts, invariant);
-  ASSERT_TRUE(sequential.complete());
-
-  core::SynthOptions options;
-  options.jobs = 4;
-  const auto parallel = portfolio::synthesize_params_parallel(ts, invariant, options);
-  ASSERT_TRUE(parallel.complete());
-
-  EXPECT_EQ(parallel.safe, sequential.safe);
-  EXPECT_EQ(parallel.unsafe, sequential.unsafe);
-  ASSERT_EQ(parallel.witnesses.size(), parallel.unsafe.size());
-  for (std::size_t i = 0; i < parallel.unsafe.size(); ++i) {
-    std::string error;
-    EXPECT_TRUE(ts.trace_conforms(parallel.witnesses[i], &error)) << error;
-    EXPECT_FALSE(expr::eval_bool(
-        invariant, ts.env_of(parallel.witnesses[i].states.back(), parallel.unsafe[i])));
-  }
-}
-
-// The parallel driver runs behind the same optimizer as the sequential one:
-// a parameter-free variable outside the property's cone is sliced away
-// (opt.vars_removed moves) and the classification is unchanged.
-TEST(SynthCrossCheck, ParallelMatchesSequentialBehindOptimizer) {
-  ts::TransitionSystem ts;
-  const Expr x = expr::int_var("posxc_x", 0, 6);
-  const Expr idle = expr::int_var("posxc_idle", 0, 3);
-  const Expr cap = expr::int_var("posxc_cap", 0, 6);
-  ts.add_var(x);
-  ts.add_var(idle);
-  ts.add_param(cap);
-  ts.add_init(expr::mk_eq(x, expr::int_const(0)));
-  ts.add_init(expr::mk_eq(idle, expr::int_const(0)));
-  ts.add_trans(expr::mk_eq(expr::next(x), expr::ite(expr::mk_lt(x, cap), x + 1, x)));
-  ts.add_trans(expr::mk_eq(expr::next(idle), expr::mk_min(idle + 1, expr::int_const(3))));
-  const Expr invariant = expr::mk_le(x, expr::int_const(3));
-
-  const auto sequential = core::synthesize_params(ts, invariant);
-  ASSERT_TRUE(sequential.complete());
-
-  core::SynthOptions options;
-  options.jobs = 2;
-  const auto before = obs::counters_snapshot()["opt.vars_removed"];
-  const auto parallel = portfolio::synthesize_params_parallel(ts, invariant, options);
-  EXPECT_GE(obs::counters_snapshot()["opt.vars_removed"] - before, 1u);
-  ASSERT_TRUE(parallel.complete());
-  EXPECT_EQ(parallel.safe, sequential.safe);
-  EXPECT_EQ(parallel.unsafe, sequential.unsafe);
-  ASSERT_EQ(parallel.witnesses.size(), parallel.unsafe.size());
-  for (const ts::Trace& witness : parallel.witnesses) {
-    std::string error;
-    EXPECT_TRUE(ts.trace_conforms(witness, &error)) << error;
-  }
-}
-
 // --- Synthesis on the counting quotient ------------------------------------
 //
-// Both drivers sweep the counting quotient first (parameters symbolic), keep
-// the candidates it proves safe, and re-sweep the rest on the original
+// Synthesis sweeps the counting quotient first (parameters symbolic), keeps
+// the candidates it proves safe, and re-sweeps the rest on the original
 // system (docs/abstraction.md, "Synthesis on the quotient").
 
 std::uint64_t counter_value(const char* name) { return obs::counters_snapshot()[name]; }
@@ -520,10 +312,40 @@ void expect_witnesses_replay(const ts::TransitionSystem& system, const ltl::Form
   }
 }
 
+// The sweep runs behind the optimizer: a parameter-free variable outside the
+// property's cone is sliced away (opt.vars_removed moves) and the
+// classification is the known one, cap in {0..3} safe and {4..6} unsafe.
+TEST(SynthCrossCheck, SweepRunsBehindOptimizer) {
+  ts::TransitionSystem ts;
+  const Expr x = expr::int_var("posxc_x", 0, 6);
+  const Expr idle = expr::int_var("posxc_idle", 0, 3);
+  const Expr cap = expr::int_var("posxc_cap", 0, 6);
+  ts.add_var(x);
+  ts.add_var(idle);
+  ts.add_param(cap);
+  ts.add_init(expr::mk_eq(x, expr::int_const(0)));
+  ts.add_init(expr::mk_eq(idle, expr::int_const(0)));
+  ts.add_trans(expr::mk_eq(expr::next(x), expr::ite(expr::mk_lt(x, cap), x + 1, x)));
+  ts.add_trans(expr::mk_eq(expr::next(idle), expr::mk_min(idle + 1, expr::int_const(3))));
+  const Expr invariant = expr::mk_le(x, expr::int_const(3));
+
+  const auto before = obs::counters_snapshot()["opt.vars_removed"];
+  const auto result = core::synthesize_params(ts, invariant);
+  EXPECT_GE(obs::counters_snapshot()["opt.vars_removed"] - before, 1u);
+  ASSERT_TRUE(result.complete());
+  EXPECT_EQ(p_values(result.safe, cap), (std::vector<std::int64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(p_values(result.unsafe, cap), (std::vector<std::int64_t>{4, 5, 6}));
+  ASSERT_EQ(result.witnesses.size(), result.unsafe.size());
+  for (const ts::Trace& witness : result.witnesses) {
+    std::string error;
+    EXPECT_TRUE(ts.trace_conforms(witness, &error)) << error;
+  }
+}
+
 // §4.2 over the wider domain p in {1..4} (k = m = 1): the quotient proves
-// p = 1, 2, 3 and the concrete sweep finds p = 4's witness. Both provers,
-// both drivers, in enumeration order, identical across the drivers and the
-// provers (the quotient is swept with k-induction under either; the
+// p = 1, 2, 3 and the concrete sweep finds p = 4's witness. Both sweep
+// drivers, the k-induction and the PDR prover, answer in enumeration order
+// and identically (the quotient is swept with k-induction under either; the
 // concrete sweep uses the prover asked for).
 TEST(SynthCrossCheck, QuotientSweepMatchesKnownBoundaryAcrossDrivers) {
   scenarios::RolloutPartitionOptions options;
@@ -539,23 +361,17 @@ TEST(SynthCrossCheck, QuotientSweepMatchesKnownBoundaryAcrossDrivers) {
   std::vector<core::SynthResult> results;
   for (const core::SynthProver prover : {core::SynthProver::kKInduction, core::SynthProver::kPdr}) {
     SCOPED_TRACE(prover == core::SynthProver::kPdr ? "pdr" : "k-induction");
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(jobs);
-      core::SynthOptions synth;
-      synth.prover = prover;
-      synth.jobs = jobs;
-      synth.max_depth = 40;
-      const std::uint64_t collapsed = counter_value("abs.vars_collapsed");
-      results.push_back(jobs == 1 ? core::synthesize_params(system, invariant, synth)
-                                  : portfolio::synthesize_params_parallel(system, invariant,
-                                                                          synth));
-      const core::SynthResult& result = results.back();
-      EXPECT_GT(counter_value("abs.vars_collapsed"), collapsed) << "the quotient must engage";
-      EXPECT_TRUE(result.complete());
-      EXPECT_EQ(p_values(result.safe, sc.p), (std::vector<std::int64_t>{1, 2, 3}));
-      EXPECT_EQ(p_values(result.unsafe, sc.p), (std::vector<std::int64_t>{4}));
-      expect_witnesses_replay(system, sc.property, result);
-    }
+    core::SynthOptions synth;
+    synth.prover = prover;
+    synth.max_depth = 40;
+    const std::uint64_t collapsed = counter_value("abs.vars_collapsed");
+    results.push_back(core::synthesize_params(system, invariant, synth));
+    const core::SynthResult& result = results.back();
+    EXPECT_GT(counter_value("abs.vars_collapsed"), collapsed) << "the quotient must engage";
+    EXPECT_TRUE(result.complete());
+    EXPECT_EQ(p_values(result.safe, sc.p), (std::vector<std::int64_t>{1, 2, 3}));
+    EXPECT_EQ(p_values(result.unsafe, sc.p), (std::vector<std::int64_t>{4}));
+    expect_witnesses_replay(system, sc.property, result);
   }
   for (const core::SynthResult& result : results) {
     EXPECT_EQ(result.safe, results[0].safe);
@@ -599,19 +415,15 @@ TEST(SynthCrossCheck, QuotientUnprovenCandidateFallsBackToConcreteSweep) {
   system.add_param_constraint(expr::mk_le(sc.k, expr::int_const(1)));
   const Expr invariant = ltl::invariant_atom(sc.property);
 
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(jobs);
-    core::SynthOptions synth;
-    synth.prover = core::SynthProver::kKInduction;
-    synth.jobs = jobs;
-    synth.max_depth = 40;
-    const std::uint64_t collapsed = counter_value("abs.vars_collapsed");
-    const auto result = portfolio::synthesize_params_parallel(system, invariant, synth);
-    EXPECT_GT(counter_value("abs.vars_collapsed"), collapsed);
-    EXPECT_TRUE(result.complete());
-    EXPECT_EQ(p_values(result.safe, sc.k), (std::vector<std::int64_t>{0, 1}));
-    EXPECT_TRUE(result.unsafe.empty());
-  }
+  core::SynthOptions synth;
+  synth.prover = core::SynthProver::kKInduction;
+  synth.max_depth = 40;
+  const std::uint64_t collapsed = counter_value("abs.vars_collapsed");
+  const auto result = core::synthesize_params(system, invariant, synth);
+  EXPECT_GT(counter_value("abs.vars_collapsed"), collapsed);
+  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(p_values(result.safe, sc.k), (std::vector<std::int64_t>{0, 1}));
+  EXPECT_TRUE(result.unsafe.empty());
 }
 
 // A replay prune on the quotient decides nothing: the quotient's spurious

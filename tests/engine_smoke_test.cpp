@@ -131,10 +131,29 @@ TEST(SynthSmoke, ClassifiesParameterSpace) {
 
   const auto result = core::synthesize_params(ts, expr::mk_lt(x, expr::int_const(5)));
   EXPECT_TRUE(result.complete());
+  EXPECT_EQ(result.stats.engine, "synth/pdr");
   // limit in {0..4} safe, {5,6,7} unsafe.
   EXPECT_EQ(result.safe.size(), 5u);
   EXPECT_EQ(result.unsafe.size(), 3u);
   EXPECT_GE(result.pruned_by_replay, 1u) << "trace replay should prune some candidates";
+}
+
+TEST(SynthSmoke, DeadlineMarksUnprocessedCandidatesUndecided) {
+  ts::TransitionSystem ts;
+  const Expr x = expr::int_var("ps_dl_x", 0, 6);
+  const Expr cap = expr::int_var("ps_dl_cap", 0, 6);
+  ts.add_var(x);
+  ts.add_param(cap);
+  ts.add_init(expr::mk_eq(x, expr::int_const(0)));
+  ts.add_trans(expr::mk_eq(expr::next(x), expr::ite(expr::mk_lt(x, cap), x + 1, x)));
+
+  core::SynthOptions options;
+  options.deadline = util::Deadline::after_seconds(0);  // already expired
+  const auto result =
+      core::synthesize_params(ts, expr::mk_le(x, expr::int_const(3)), options);
+  EXPECT_EQ(result.undecided.size(), 7u);
+  EXPECT_TRUE(result.safe.empty());
+  EXPECT_TRUE(result.unsafe.empty());
 }
 
 TEST(LivenessSmoke, FindsOscillationLasso) {
@@ -165,6 +184,28 @@ TEST(LivenessSmoke, NoLassoForStabilizingSystem) {
   options.max_depth = 6;
   const auto outcome = core::check_ltl_lasso(ts, ltl::F(ltl::G(ltl::atom(b))), options);
   EXPECT_EQ(outcome.verdict, Verdict::kBoundReached);
+}
+
+TEST(StatsMerge, SumsChecksAndTimeKeepsMaxDepthJoinsLabels) {
+  core::Stats a;
+  a.engine = "pdr";
+  a.seconds = 1.5;
+  a.solver_checks = 10;
+  a.depth_reached = 3;
+  core::Stats b;
+  b.engine = "bmc";
+  b.seconds = 0.5;
+  b.solver_checks = 7;
+  b.depth_reached = 9;
+  a.merge(b);
+  EXPECT_EQ(a.engine, "pdr+bmc");
+  EXPECT_DOUBLE_EQ(a.seconds, 2.0);
+  EXPECT_EQ(a.solver_checks, 17u);
+  EXPECT_EQ(a.depth_reached, 9);
+
+  core::Stats empty;
+  empty.merge(b);
+  EXPECT_EQ(empty.engine, "bmc");
 }
 
 TEST(CheckerFacade, RoutesAndConfirms) {

@@ -505,7 +505,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, ArtifactCrosscheck,
                          });
 
 // Session-level: check_all exports artifacts through the shared-k-induction
-// and portfolio paths too; everything it records must revalidate.
+// path too; everything it records must revalidate.
 TEST(ArtifactCrosscheck, SessionExportsRevalidatableArtifacts) {
   svc::VerdictCache cache;
   inc::ReuseEngine engine(cache);

@@ -1,11 +1,12 @@
-// The observability layer: NDJSON trace sink (thread-safety under TSan),
-// counter registry, verdict-stats-v1 round trip, explainer rendering, and
-// the disabled-path cost contract.
+// The observability layer: NDJSON trace sink (thread-safety under TSan,
+// concurrent service batches included), counter registry, verdict-stats-v1
+// round trip, explainer rendering, and the disabled-path cost contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,7 +21,7 @@
 #include "obs/json.h"
 #include "obs/stats_json.h"
 #include "obs/trace.h"
-#include "portfolio/portfolio.h"
+#include "svc/service.h"
 
 namespace verdict {
 namespace {
@@ -131,35 +132,62 @@ TEST(TraceSink, ConcurrentEmittersNeverTearLines) {
   EXPECT_EQ(seen.size(), lines.size()) << "every (thread, seq) exactly once";
 }
 
-// A real parallel engine race under an installed sink: the portfolio lanes
-// emit lane/engine/smt events concurrently while solving.
-TEST(TraceSink, PortfolioRunEmitsCoherentEvents) {
-  const auto ts = counter_system("obs_pf", 8);
-  const Expr x = expr::var_by_name("obs_pf_x");
+// Concurrent service batches under an installed sink: each request is its
+// own batch (zero window) on its own system, so the pool workers run their
+// engines side by side and emit engine/smt events concurrently.
+TEST(TraceSink, ConcurrentServiceBatchesEmitCoherentEvents) {
+  constexpr int kRequests = 8;
+  std::vector<ts::TransitionSystem> systems;
+  std::vector<ltl::Formula> properties;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string prefix = "obs_svc" + std::to_string(i);
+    systems.push_back(counter_system(prefix, 2 + i));
+    const Expr x = expr::var_by_name(prefix + "_x");
+    properties.push_back(ltl::G(ltl::atom(expr::mk_lt(x, expr::int_const(5)))));
+  }
 
   std::ostringstream out;
   obs::TraceSink sink(out);
   SinkGuard guard(&sink);
-
-  portfolio::PortfolioOptions options;
-  options.jobs = 4;
-  const auto outcome = portfolio::check_portfolio(
-      ts, ltl::G(ltl::atom(expr::mk_lt(x, expr::int_const(5)))), options);
+  std::vector<core::Verdict> verdicts;
+  {
+    svc::ServiceOptions options;
+    options.jobs = 4;
+    options.batch_window_seconds = 0.0;
+    svc::Service service(options);
+    std::vector<svc::PendingCheck> pending;
+    for (int i = 0; i < kRequests; ++i) {
+      svc::CheckRequest request;
+      request.system = &systems[i];
+      request.property = properties[i];
+      request.engine = core::Engine::kKInduction;
+      request.max_depth = 12;
+      pending.push_back(service.submit(request));
+    }
+    for (svc::PendingCheck& p : pending) verdicts.push_back(p.wait().outcome.verdict);
+    EXPECT_EQ(service.batches_formed(), static_cast<std::uint64_t>(kRequests));
+  }
   obs::set_sink(nullptr);
   sink.flush();
-  EXPECT_EQ(outcome.verdict, core::Verdict::kViolated);
+  for (int i = 0; i < kRequests; ++i)
+    EXPECT_EQ(verdicts[i], 2 + i >= 5 ? core::Verdict::kViolated : core::Verdict::kHolds)
+        << "request " << i;
 
-  std::size_t lane_starts = 0;
-  std::size_t wins = 0;
+  std::map<std::string, int> open_spans;  // engine -> starts minus finishes
+  int starts = 0;
   for (const std::string& line : lines_of(out.str())) {
     const obs::JsonValue e = obs::parse_json(line);  // every line whole + valid
     ASSERT_TRUE(e.has("ts")) << line;
     ASSERT_TRUE(e.has("type")) << line;
-    if (e["type"].string == "portfolio.lane_start") ++lane_starts;
-    if (e["type"].string == "portfolio.win") ++wins;
+    if (e["type"].string == "engine.start") {
+      ++open_spans[e["engine"].string];
+      ++starts;
+    }
+    if (e["type"].string == "engine.finish") --open_spans[e["engine"].string];
   }
-  EXPECT_GE(lane_starts, 2u) << "a race needs at least two lanes";
-  EXPECT_EQ(wins, 1u);
+  EXPECT_GE(starts, kRequests) << "every batch runs at least one engine";
+  for (const auto& [engine, open] : open_spans)
+    EXPECT_EQ(open, 0) << engine << ": an engine.start without its engine.finish";
 }
 
 // A session's safety group is one engine batch: one engine.start/finish

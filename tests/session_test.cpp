@@ -148,37 +148,6 @@ TEST(SessionParity, VerdictsMatchOneShotForEveryEngine) {
   }
 }
 
-// The parallel path: (property × engine) lanes on one pool must land on the
-// same verdicts the sequential session computes.
-TEST(SessionParity, PortfolioSessionMatchesSequentialSession) {
-  const auto sc = test_scenario("ses4");
-  core::Session session(sc.system);
-  for (const auto& [name, property] : sc.properties) session.add_property(name, property);
-
-  core::SessionOptions sequential;
-  sequential.engine = Engine::kAuto;
-  sequential.max_depth = 10;
-  const auto expected = session.check_all(sequential);
-
-  core::SessionOptions parallel = sequential;
-  parallel.jobs = 4;  // kAuto + jobs != 1 upgrades to the batch portfolio
-  const auto batch = session.check_all(parallel);
-
-  ASSERT_EQ(batch.properties.size(), expected.properties.size());
-  for (std::size_t i = 0; i < batch.properties.size(); ++i) {
-    EXPECT_EQ(batch.properties[i].outcome.verdict, expected.properties[i].outcome.verdict)
-        << batch.properties[i].name;
-    EXPECT_EQ(batch.properties[i].outcome.stats.engine.rfind("portfolio[", 0), 0u)
-        << batch.properties[i].outcome.stats.engine;
-    if (batch.properties[i].outcome.violated()) {
-      std::string error;
-      EXPECT_TRUE(core::confirm_counterexample(sc.system, batch.properties[i].property,
-                                               batch.properties[i].outcome, &error))
-          << error;
-    }
-  }
-}
-
 // --- Result API --------------------------------------------------------------
 
 TEST(SessionResultApi, AggregatesAndTable) {

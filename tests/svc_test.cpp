@@ -12,11 +12,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -35,11 +37,13 @@
 #include "svc/daemon.h"
 #include "svc/fingerprint.h"
 #include "svc/frame.h"
+#include "svc/pool.h"
 #include "svc/protocol.h"
 #include "svc/segment.h"
 #include "svc/service.h"
 #include "svc/stored_trace.h"
 #include "svc/verdict_cache.h"
+#include "util/stopwatch.h"
 
 namespace verdict {
 namespace {
@@ -233,6 +237,67 @@ TEST(VerdictCache, DecodersRejectOutOfRangeIntegers) {
     EXPECT_FALSE(trace("0", bad, "3").has_value()) << "length " << bad;
   for (const char* bad : {"1e300", "-1e300", "1e19", "-1e19", "0.5"})
     EXPECT_FALSE(trace("0", "1", bad).has_value()) << "state value " << bad;
+}
+
+// --- Worker pool -------------------------------------------------------------
+
+TEST(ThreadPool, RunsEverySubmittedJob) {
+  std::atomic<int> count{0};
+  svc::ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 4u);
+  std::vector<svc::JobHandle> handles;
+  for (int i = 0; i < 64; ++i)
+    handles.push_back(pool.submit_cancellable([&](const util::CancelToken&) { ++count; }));
+  for (const svc::JobHandle& handle : handles) {
+    handle.wait();
+    EXPECT_TRUE(handle.done());
+  }
+  EXPECT_EQ(count.load(), 64);
+}
+
+TEST(ThreadPool, DefaultJobsIsAtLeastTwo) { EXPECT_GE(svc::default_jobs(), 2u); }
+
+// N jobs poll their own token through the Deadline interface, exactly like
+// the engines' poll sites; once the one job left alone has finished, every
+// other handle is cancelled. Everyone must return promptly, well inside the
+// 1-hour time budget that would otherwise keep the cancelled jobs spinning,
+// including the jobs still queued when their cancel arrives.
+TEST(CancellationStress, AllButOneCancelledNoHang) {
+  constexpr int kJobs = 32;
+  constexpr int kSurvivor = 3;  // in the first batch of 8, ahead of the spinners' queue
+  std::atomic<int> cancelled_count{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  int finished = 0;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    svc::ThreadPool pool(8);
+    std::vector<svc::JobHandle> handles;
+    for (int i = 0; i < kJobs; ++i) {
+      handles.push_back(pool.submit_cancellable([&, i](const util::CancelToken& token) {
+        const util::Deadline deadline = util::Deadline::after_seconds(3600).with_cancel(token);
+        if (i == kSurvivor) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        } else {
+          while (!deadline.expired_or_cancelled()) std::this_thread::yield();
+          ++cancelled_count;
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        ++finished;
+        cv.notify_all();
+      }));
+    }
+    handles[kSurvivor].wait();
+    for (int i = 0; i < kJobs; ++i)
+      if (i != kSurvivor) handles[i].cancel();
+    std::unique_lock<std::mutex> lock(mu);
+    const bool all =
+        cv.wait_for(lock, std::chrono::seconds(60), [&] { return finished == kJobs; });
+    ASSERT_TRUE(all) << "cancellation did not propagate; cancelled jobs are hung";
+  }
+  EXPECT_EQ(cancelled_count.load(), kJobs - 1);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 60.0);
 }
 
 // --- Service -----------------------------------------------------------------
@@ -1136,6 +1201,7 @@ TEST(Protocol, ParseRequestRejectsOutOfRangeAndHostileFields) {
   for (const std::string& payload : {
            std::string(""), std::string("[]"), std::string("\"model\""),
            std::string(R"({"model":""})"), std::string(R"({"model":"m","engine":"z3"})"),
+           std::string(R"({"model":"m","engine":"portfolio"})"),
            std::string(R"({"model":"m","depth":-1})"),
            std::string(R"({"model":"m","depth":3e9})"),
            std::string(R"({"model":"m","depth":1e999})"),
@@ -1678,15 +1744,39 @@ TEST(Client, RetriesConnectWhileTheDaemonIsStarting) {
   // until then). Without connect_wait_seconds this throws immediately.
   EXPECT_THROW(svc::Client no_retry(sock), std::runtime_error);
 
-  std::unique_ptr<svc::Daemon> daemon;
+  // The server thread builds the daemon itself, so ServerThread (which takes
+  // a constructed one) cannot guard it. The daemon is handed over through a
+  // promise (null if construction threw), and the guard waits for it, stops
+  // it and joins the thread on every exit path, failed ASSERTs included.
+  std::promise<std::unique_ptr<svc::Daemon>> started;
+  std::future<std::unique_ptr<svc::Daemon>> published = started.get_future();
   std::thread server([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    svc::DaemonOptions options;
-    options.socket_path = sock;
-    options.service.jobs = 1;
-    daemon = std::make_unique<svc::Daemon>(options);
-    daemon->serve();
+    std::unique_ptr<svc::Daemon> daemon;
+    try {
+      svc::DaemonOptions options;
+      options.socket_path = sock;
+      options.service.jobs = 1;
+      daemon = std::make_unique<svc::Daemon>(options);
+    } catch (const std::exception&) {
+      started.set_value(nullptr);
+      return;
+    }
+    svc::Daemon* serving = daemon.get();
+    started.set_value(std::move(daemon));
+    serving->serve();
   });
+  struct StopAndJoin {
+    std::future<std::unique_ptr<svc::Daemon>>& published;
+    std::thread& server;
+    void stop() {
+      if (!server.joinable()) return;
+      const std::unique_ptr<svc::Daemon> daemon = published.get();
+      if (daemon) daemon->request_stop();
+      server.join();
+    }
+    ~StopAndJoin() { stop(); }
+  } guard{published, server};
 
   svc::ClientOptions client_options;
   client_options.connect_wait_seconds = 10.0;
@@ -1697,8 +1787,7 @@ TEST(Client, RetriesConnectWhileTheDaemonIsStarting) {
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_EQ(verdicts[0].outcome.verdict, core::Verdict::kHolds);
 
-  daemon->request_stop();
-  server.join();
+  guard.stop();
   ::unlink(sock.c_str());
   ::rmdir(sock_dir);
 }

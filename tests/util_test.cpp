@@ -1,4 +1,4 @@
-// util: rational arithmetic, deadlines, string helpers.
+// util: rational arithmetic, deadlines, cancellation tokens, string helpers.
 #include <gtest/gtest.h>
 
 #include "util/rational.h"
@@ -68,6 +68,37 @@ TEST(Deadline, ExpiresAfterBudget) {
   const Deadline later = Deadline::after_seconds(3600.0);
   EXPECT_FALSE(later.expired());
   EXPECT_GT(later.remaining_seconds(), 3500.0);
+}
+
+TEST(CancelToken, CopiesShareOneFlag) {
+  CancelToken a;
+  CancelToken b = a;
+  EXPECT_FALSE(b.cancelled());
+  a.request_cancel();
+  EXPECT_TRUE(a.cancelled());
+  EXPECT_TRUE(b.cancelled());
+  a.reset();
+  EXPECT_FALSE(b.cancelled());
+}
+
+TEST(CancelToken, DeadlineIntegration) {
+  CancelToken token;
+  const Deadline plain = Deadline::after_seconds(3600);
+  const Deadline with = plain.with_cancel(token);
+  EXPECT_FALSE(with.expired_or_cancelled());
+  EXPECT_TRUE(with.has_cancel_token());
+  EXPECT_FALSE(plain.has_cancel_token());
+  token.request_cancel();
+  EXPECT_TRUE(with.cancelled());
+  EXPECT_TRUE(with.expired_or_cancelled());
+  EXPECT_FALSE(with.expired()) << "cancellation must not masquerade as time expiry";
+  EXPECT_EQ(with.remaining_seconds(), 0.0);
+  EXPECT_FALSE(plain.expired_or_cancelled()) << "the original deadline is unaffected";
+
+  // An infinite deadline is still cancellable.
+  const Deadline infinite = Deadline::never().with_cancel(token);
+  EXPECT_TRUE(infinite.expired_or_cancelled());
+  EXPECT_FALSE(infinite.is_finite());
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

@@ -87,6 +87,23 @@ run rc "$TMP/version.txt" "$VERDICTC" --version
 expect_exit 0 "$rc" "--version" "$TMP/version.txt"
 grep -q "^verdictc " "$TMP/version.txt" || fail "--version must name the tool"
 grep -q "Z3" "$TMP/version.txt" || fail "--version must report the Z3 version"
+# In a git checkout the SHA is the checkout's HEAD (stamped at build time,
+# "-dirty" when the tree had uncommitted changes), not the one CMake first
+# configured at.
+SRC="$(cd "$MODELS/../.." && pwd)"
+if head_sha="$(git -C "$SRC" rev-parse --short=12 HEAD 2>/dev/null)"; then
+  printed_sha="$(awk '{print $2}' "$TMP/version.txt")"
+  [ "${printed_sha%-dirty}" = "$head_sha" ] || \
+    fail "--version prints SHA '$printed_sha', the checkout's HEAD is '$head_sha'"
+fi
+
+# `--engine portfolio` and `--jobs` are not options: usage error, exit 2.
+run rc "$TMP/portfolio.txt" "$VERDICTC" "$MODELS/rollout.vml" --engine portfolio
+expect_exit 2 "$rc" "--engine portfolio" "$TMP/portfolio.txt"
+grep -q "^usage:" "$TMP/portfolio.txt" || fail "--engine portfolio must print the usage"
+run rc "$TMP/jobs.txt" "$VERDICTC" "$MODELS/rollout.vml" --jobs 2
+expect_exit 2 "$rc" "--jobs 2" "$TMP/jobs.txt"
+grep -q "^usage:" "$TMP/jobs.txt" || fail "--jobs must print the usage"
 
 # --stats-json + --trace-out: machine-readable exports, schema-checked.
 run rc "$TMP/obs.txt" "$VERDICTC" "$MODELS/rollout.vml" --engine bmc --depth 8 \

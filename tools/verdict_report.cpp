@@ -1,7 +1,7 @@
 // verdict-report — turns the machine-readable outputs of a verdictc run
 // (--trace-out NDJSON event stream, --stats-json verdict-stats-v1 document)
-// into a human-readable run report: per-engine time breakdown, portfolio
-// winner rationale, per-property verdict table, counter snapshot.
+// into a human-readable run report: per-engine time breakdown, per-property
+// verdict table, counter snapshot.
 //
 // Usage:
 //   verdict-report [--stats FILE] [--trace FILE] [--check]
@@ -182,18 +182,6 @@ JsonValue validate_stats_document(const std::string& text) {
       for (const char* k : kBddCounters) known = known || name == k;
       require(known, "counters." + name + " is not a known bdd.* counter");
     }
-    // The portfolio counters are closed (docs/engines.md): race wins plus the
-    // cross-lane lemma bus traffic.
-    if (name.rfind("portfolio.", 0) == 0) {
-      static const char* kPortfolioCounters[] = {
-          "portfolio.wins",
-          "portfolio.lemmas_exported",
-          "portfolio.lemmas_consumed",
-      };
-      bool known = false;
-      for (const char* k : kPortfolioCounters) known = known || name == k;
-      require(known, "counters." + name + " is not a known portfolio.* counter");
-    }
     // The SMT-layer counters are closed (docs/engines.md): solver lifecycle
     // plus the cross-frame translation memo.
     if (name.rfind("smt.", 0) == 0) {
@@ -225,7 +213,6 @@ struct TraceAgg {
   std::size_t events = 0;
   std::map<std::string, std::size_t> by_type;
   std::map<std::string, EngineAgg> engines;  // from engine.finish
-  std::vector<std::string> wins;             // portfolio.win rationale lines
   std::string model;                         // from run.start
   double last_ts = 0.0;
 };
@@ -263,15 +250,6 @@ TraceAgg aggregate_trace(const std::string& text) {
       e.seconds += event["seconds"].number;
       e.solver_seconds += event["solver_seconds"].number;
       e.last_verdict = event["verdict"].string;
-    }
-    if (type == "portfolio.win") {
-      std::ostringstream os;
-      os << "property " << static_cast<long>(event["property"].number) << ": won by "
-         << event["lane"].string << " (" << event["verdict"].string << ") after "
-         << event["wall_seconds"].number << "s wall, "
-         << static_cast<long>(event["cancelled_lanes"].number)
-         << " lane(s) cancelled";
-      agg.wins.push_back(os.str());
     }
   }
   return agg;
@@ -341,10 +319,6 @@ void print_trace_report(const TraceAgg& agg) {
       std::printf("  %-20s %5zu %8.2fs %8.2fs %6.1f%%  %s\n", name.c_str(), e.runs,
                   e.seconds, e.solver_seconds, share, e.last_verdict.c_str());
     }
-  }
-  if (!agg.wins.empty()) {
-    std::printf("portfolio:\n");
-    for (const std::string& w : agg.wins) std::printf("  %s\n", w.c_str());
   }
   std::printf("events by type:\n");
   for (const auto& [type, n] : agg.by_type)

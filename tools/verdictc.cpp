@@ -9,12 +9,8 @@
 //   --property NAME        alias)
 //   --props-file FILE      read property names from FILE (one per line,
 //                          blank lines and '#' comments ignored)
-//   --engine ENGINE        auto | bmc | kinduction | pdr | explicit | lasso |
-//                          portfolio (LTL properties; CTL always uses the
-//                          BDD engine)
-//   --jobs N               worker threads for the portfolio engine; with
-//                          --engine auto, N > 1 upgrades to the portfolio
-//                          (0 = all hardware threads)
+//   --engine ENGINE        auto | bmc | kinduction | pdr | explicit | lasso
+//                          (LTL properties; CTL always uses the BDD engine)
 //   --depth N              unroll depth / induction bound / frame limit (50)
 //   --timeout SECONDS      wall-clock budget for the whole run (default: none)
 //   --smv FILE             also export the model + properties as NuXMV input
@@ -93,7 +89,6 @@ struct Options {
   std::string model_path;
   std::vector<std::string> properties;
   verdict::core::Engine engine = verdict::core::Engine::kAuto;
-  std::size_t jobs = 1;
   int depth = 50;
   double timeout = 0.0;  // 0 = none
   bool list_only = false;
@@ -118,8 +113,7 @@ struct Options {
                "  --property NAME    alias)\n"
                "  --props-file FILE  read property names from FILE (one per line,\n"
                "                     blank lines and '#' comments ignored)\n"
-               "  --engine ENGINE    auto|bmc|kinduction|pdr|explicit|lasso|portfolio\n"
-               "  --jobs N           worker threads (0 = all hardware threads)\n"
+               "  --engine ENGINE    auto|bmc|kinduction|pdr|explicit|lasso\n"
                "  --depth N          unroll depth / induction bound / frame limit (50)\n"
                "  --timeout SECONDS  wall-clock budget for the whole run\n"
                "  --no-opt           skip the optimization pipeline (docs/optimizer.md)\n"
@@ -183,21 +177,10 @@ Options parse_args(int argc, char** argv) {
         options.engine = verdict::core::Engine::kExplicit;
       } else if (engine == "lasso") {
         options.engine = verdict::core::Engine::kLtlLasso;
-      } else if (engine == "portfolio") {
-        options.engine = verdict::core::Engine::kPortfolio;
       } else {
         std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
         usage(argv[0], 2);
       }
-    } else if (arg == "--jobs") {
-      const std::string v = value();
-      char* end = nullptr;
-      const long n = std::strtol(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "--jobs must be a non-negative integer\n");
-        usage(argv[0], 2);
-      }
-      options.jobs = static_cast<std::size_t>(n);
     } else if (arg == "--depth") {
       options.depth = std::atoi(value().c_str());
     } else if (arg == "--timeout") {
@@ -274,8 +257,6 @@ const char* engine_cli_name(verdict::core::Engine e) {
       return "explicit";
     case Engine::kLtlLasso:
       return "lasso";
-    case Engine::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }
@@ -361,7 +342,7 @@ int main(int argc, char** argv) {
   bool any_undecided = false;
 
   // Structured event stream: installed before any engine runs so every
-  // solver check and portfolio lane shows up in the file.
+  // solver check shows up in the file.
   std::unique_ptr<obs::TraceSink> trace_sink;
   if (!options.trace_out.empty()) {
     try {
@@ -375,7 +356,6 @@ int main(int argc, char** argv) {
         .attr("model", options.model_path)
         .attr("engine", engine_cli_name(options.engine))
         .attr("depth", options.depth)
-        .attr("jobs", options.jobs)
         .emit();
   }
 
@@ -429,7 +409,6 @@ int main(int argc, char** argv) {
         core::SessionOptions check;
         check.engine = options.engine;
         check.max_depth = options.depth;
-        check.jobs = options.jobs;
         check.optimize = options.optimize;
         check.abstract = options.abstract;
         check.deadline = deadline;
@@ -520,7 +499,6 @@ int main(int argc, char** argv) {
     w.key("options");
     w.begin_object();
     w.kv("depth", options.depth);
-    w.kv("jobs", options.jobs);
     w.kv("timeout", options.timeout);
     w.kv("optimize", options.optimize);
     w.kv("abstract", options.abstract);

@@ -42,9 +42,9 @@
 
 #include "inc/reuse_engine.h"
 #include "obs/trace.h"
-#include "portfolio/pool.h"
 #include "smt/solver.h"
 #include "svc/daemon.h"
+#include "svc/pool.h"
 #include "util/version.h"
 
 namespace {
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
       std::printf("verdictd: listening on %s (%zu jobs, queue limit %zu)\n",
                   options.socket_path.c_str(),
                   options.service.jobs != 0 ? options.service.jobs
-                                            : portfolio::default_jobs(),
+                                            : svc::default_jobs(),
                   options.service.queue_limit);
     std::fflush(stdout);
     daemon.serve();  // returns after SIGTERM + graceful drain
